@@ -22,7 +22,7 @@ from repro.sim.config import (
     config_from_dict,
     config_to_dict,
 )
-from repro.sim.engine import ENGINES
+from repro.sim.engine import check_engine
 
 #: Experiment kinds a request can ask for: a trace-driven simulation or
 #: the single-remap anatomy microbenchmark (which needs no workload).
@@ -64,8 +64,8 @@ class RunRequest:
             results).
         experiment: ``"trace"`` or ``"remap"``.
         engine: simulation engine, ``""`` (process default — usually the
-            fast engine), ``"reference"``, ``"fast"`` or ``"soa"``.  All
-            engines produce bit-identical results, so the engine only enters the
+            fast engine), ``"reference"`` or ``"fast"``.  Both engines
+            produce bit-identical results, so the engine only enters the
             cache key when explicitly non-default (letting benchmarks
             force a re-simulation on a specific engine without
             invalidating default-engine caches).
@@ -119,10 +119,8 @@ class RunRequest:
             object.__setattr__(self, "warmup_fraction", 0.2)
         if self.interval_refs is not None and self.interval_refs <= 0:
             raise ValueError("interval_refs must be positive when given")
-        if self.engine not in ("",) + ENGINES:
-            raise ValueError(
-                f"engine must be '' or one of {ENGINES}, got {self.engine!r}"
-            )
+        if self.engine != "":
+            check_engine(self.engine)
 
     # ------------------------------------------------------------------
     # serialization

@@ -44,7 +44,6 @@ from repro.obs.trace import active_tracer
 from repro.sim.engine import (
     ENGINE_FAST,
     ENGINE_REFERENCE,
-    ENGINE_SOA,
     FastPathMismatchError,
     diff_fingerprints,
     resolve_engine,
@@ -282,21 +281,14 @@ def _execute_chain(
 def _execute_validated(
     request: RunRequest, workload, on_interval=None
 ) -> SimulationResult:
-    """Run a trace request on every engine it implies; require identity.
+    """Run a trace request on the reference and fast engines; require identity.
 
-    A ``fast`` request is checked against the reference engine; a
-    ``soa`` request is checked against *both* other engines, since the
-    struct-of-arrays core layers on top of the fast path and either
-    layer could drift independently.  ``on_interval`` streams from the
-    first (reference) run only -- interval samples are engine-identical
-    by contract, so subscribers must not see each sample twice.
+    ``on_interval`` streams from the reference run only -- interval
+    samples are engine-identical by contract, so subscribers must not
+    see each sample twice.
     """
-    resolved = resolve_engine(request.engine or None)
-    engines = [ENGINE_REFERENCE, ENGINE_FAST]
-    if resolved == ENGINE_SOA:
-        engines.append(ENGINE_SOA)
     results = {}
-    for engine in engines:
+    for engine in (ENGINE_REFERENCE, ENGINE_FAST):
         simulator = Simulator(request.config, engine=engine)
         results[engine] = simulator.run(
             workload,
@@ -304,20 +296,19 @@ def _execute_validated(
             refs_total=request.refs_total,
             warmup_refs=request.warmup_refs,
             interval_refs=request.interval_refs,
-            on_interval=on_interval if engine == engines[0] else None,
+            on_interval=on_interval if engine == ENGINE_REFERENCE else None,
         )
-    reference = result_fingerprint(results[ENGINE_REFERENCE])
-    for engine in engines[1:]:
-        differences = diff_fingerprints(
-            reference, result_fingerprint(results[engine])
+    differences = diff_fingerprints(
+        result_fingerprint(results[ENGINE_REFERENCE]),
+        result_fingerprint(results[ENGINE_FAST]),
+    )
+    if differences:
+        details = "\n  ".join(differences[:20])
+        raise FastPathMismatchError(
+            f"{ENGINE_FAST} engine diverged from the reference engine on "
+            f"workload {request.workload!r}:\n  {details}"
         )
-        if differences:
-            details = "\n  ".join(differences[:20])
-            raise FastPathMismatchError(
-                f"{engine} engine diverged from the reference engine on "
-                f"workload {request.workload!r}:\n  {details}"
-            )
-    return results[resolved]
+    return results[ENGINE_FAST]
 
 
 @dataclass

@@ -66,6 +66,7 @@ from repro.experiments.scenarios import (
     run_differential,
     run_scenarios,
 )
+from repro.sim.engine import ENGINES
 from repro.workloads import WORKLOADS, make_workload
 from repro.workloads.synthetic import (
     ADDRESS_MODELS,
@@ -648,7 +649,7 @@ def _add_fleet_parser(subparsers, common: argparse.ArgumentParser) -> None:
     fleet.add_argument(
         "--engine",
         default=None,
-        choices=("reference", "fast", "soa"),
+        choices=ENGINES,
         help="simulation engine (default: REPRO_SIM_ENGINE or fast)",
     )
 
@@ -889,9 +890,8 @@ def _add_run_parser(subparsers, common: argparse.ArgumentParser) -> None:
     run.add_argument(
         "--engine",
         default=None,
-        metavar="E",
-        help="execution engine (reference, fast, soa; default: "
-        "REPRO_SIM_ENGINE or fast)",
+        choices=ENGINES,
+        help="execution engine (default: REPRO_SIM_ENGINE or fast)",
     )
     run.add_argument(
         "--num-cpus",
@@ -1230,12 +1230,12 @@ def _add_bench_parser(subparsers) -> None:
 
     bench = subparsers.add_parser(
         "bench",
-        help="time the reference, fast, and soa simulation engines",
+        help="time the reference and fast simulation engines",
         description=(
-            "Benchmark the fast and soa simulation engines against the "
-            "reference engine across figure workloads and synthetic "
-            "scenarios, verifying that all three produce bit-identical "
-            "results.  See docs/PERFORMANCE.md for how to read the output."
+            "Benchmark the fast simulation engine against the reference "
+            "engine across figure workloads and synthetic scenarios, "
+            "verifying that both produce bit-identical results.  See "
+            "docs/PERFORMANCE.md for how to read the output."
         ),
     )
     bench.add_argument(

@@ -21,7 +21,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
+from repro.core.protocol import make_protocol
 from repro.sim.config import GuestConfig
+from repro.sim.engine import check_engine
 
 #: Bumped when the fleet trace/plan construction changes in a way that
 #: invalidates cached fleet results.  Independent of the single-machine
@@ -276,6 +278,13 @@ class FleetRequest:
     _cache_key: Optional[str] = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        # Reject a bad name here, where the caller can be told, rather
+        # than when a worker builds the first machine.
+        make_protocol(self.protocol)
+        if self.engine != "":
+            check_engine(self.engine)
 
     def to_dict(self) -> dict:
         return {

@@ -22,9 +22,9 @@ Observation never perturbs simulation -- results are bit-identical with
 tracing on and off, and no trace state enters cache keys.
 
 This ``__init__`` deliberately imports only the sim-independent
-submodules (``log``, ``trace``) so low layers (e.g. the SoA kernel
-resolver) can import ``repro.obs.log`` without pulling in
-``repro.sim``; import :mod:`repro.obs.metrics` and
+submodules (``log``, ``trace``) so low layers (e.g.
+:mod:`repro.sim.simulator`) can import ``repro.obs.log`` without an
+import cycle through ``repro.sim``; import :mod:`repro.obs.metrics` and
 :mod:`repro.obs.profile` explicitly.
 """
 

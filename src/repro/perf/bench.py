@@ -1,13 +1,11 @@
-"""Three-engine benchmark harness (``python -m repro bench``).
+"""Engine benchmark harness (``python -m repro bench``).
 
 Each :class:`BenchCase` names one (workload, machine) point.  The
-harness generates the trace once per case, runs it on all three engines
-(``reference``, ``fast``, ``soa``) ``repeats`` times (interleaved,
-best-of CPU time, so platform noise and frequency wobble hit every
-engine alike), verifies the results are bit-identical, and reports
-per-case speedups plus a geometric mean.  The headline ``speedup`` is
-reference time over SoA time; ``fast_speedup`` keeps the old
-reference-over-fast ratio for trajectory continuity.
+harness generates the trace once per case, runs it on both engines
+(``reference``, ``fast``) ``repeats`` times (interleaved, best-of CPU
+time, so platform noise and frequency wobble hit both engines alike),
+verifies the results are bit-identical, and reports per-case speedups
+(reference time over fast time) plus a geometric mean.
 
 The committed ``BENCH_<tag>.json`` files at the repository root form
 the performance trajectory of the project: one file per PR that changed
@@ -33,27 +31,27 @@ from repro.sim.config import SystemConfig
 from repro.sim.engine import (
     ENGINE_FAST,
     ENGINE_REFERENCE,
-    ENGINE_SOA,
     diff_fingerprints,
     result_fingerprint,
 )
 from repro.sim.simulator import SimulationResult, Simulator, resolve_trace
-from repro.sim.soa_kernel import get_kernel
 from repro.workloads import make_workload
 
-#: Version of the BENCH_*.json payload layout.  Version 2 added the SoA
-#: engine columns (``soa_seconds``, ``soa_refs_per_second``,
-#: ``fast_speedup``, ``soa_kernel``) and redefined ``speedup`` as
-#: reference over SoA.
-BENCH_SCHEMA_VERSION = 2
+#: Version of the BENCH_*.json payload layout.  Version 2 also timed a
+#: third engine (with its own seconds, refs/s and scan-kernel fields),
+#: redefined ``speedup`` as reference over that engine and kept the
+#: reference-over-fast ratio as ``fast_speedup``.  Version 3 times two
+#: engines again, with ``speedup`` = reference over fast (as in
+#: version 1).
+BENCH_SCHEMA_VERSION = 3
 
 #: Tag of the bench file this revision of the repository commits
 #: (``BENCH_<tag>.json``).  Bumped by every PR that records a new point
 #: on the performance trajectory.
-DEFAULT_BENCH_TAG = 7
+DEFAULT_BENCH_TAG = 14
 
-#: All engines timed per case, reference first.
-BENCH_ENGINES = (ENGINE_REFERENCE, ENGINE_FAST, ENGINE_SOA)
+#: Both engines timed per case, reference first.
+BENCH_ENGINES = (ENGINE_REFERENCE, ENGINE_FAST)
 
 #: Figure workloads timed by default: the paper's five big-memory
 #: workloads plus two small-footprint (Figure 11) applications.
@@ -84,8 +82,8 @@ DEFAULT_SCENARIOS = (
     "syn:steady/seed=7",
     # A genuinely TLB/L1-resident steady phase (the default syn:steady
     # keeps a paging daemon thrashing by design).  This is the case the
-    # SoA engine's vectorized steady windows exist for; see
-    # docs/PERFORMANCE.md for why the two are reported separately.
+    # fast engine's bulk retirement exists for; see docs/PERFORMANCE.md
+    # for why the two are reported separately.
     RESIDENT_STEADY_SCENARIO,
 )
 
@@ -118,7 +116,6 @@ class BenchRecord:
     case: BenchCase
     reference_seconds: float
     fast_seconds: float
-    soa_seconds: float
     references: int
     runtime_cycles: int
     identical: bool
@@ -126,14 +123,7 @@ class BenchRecord:
 
     @property
     def speedup(self) -> float:
-        """Reference time over SoA time (higher is better)."""
-        if self.soa_seconds <= 0.0:
-            return float("inf")
-        return self.reference_seconds / self.soa_seconds
-
-    @property
-    def fast_speedup(self) -> float:
-        """Reference time over fast time (the pre-SoA headline)."""
+        """Reference time over fast time (higher is better)."""
         if self.fast_seconds <= 0.0:
             return float("inf")
         return self.reference_seconds / self.fast_seconds
@@ -145,13 +135,6 @@ class BenchRecord:
             return float("inf")
         return self.references / self.fast_seconds
 
-    @property
-    def soa_refs_per_second(self) -> float:
-        """Simulated references retired per wall second (SoA engine)."""
-        if self.soa_seconds <= 0.0:
-            return float("inf")
-        return self.references / self.soa_seconds
-
 
 @dataclass
 class BenchReport:
@@ -160,28 +143,16 @@ class BenchReport:
     records: list[BenchRecord] = field(default_factory=list)
     trace_scale: float = 1.0
     tag: int = DEFAULT_BENCH_TAG
-    #: scan-kernel backend the SoA engine resolved (numba/c/python).
-    soa_kernel: str = ""
     #: cold-vs-checkpointed sweep timing (None when skipped).
     incremental: Optional[IncrementalSweepRecord] = None
 
     @property
     def geomean_speedup(self) -> float:
-        """Geometric-mean reference-over-SoA speedup across all cases."""
-        if not self.records:
-            return 0.0
-        return math.exp(
-            sum(math.log(r.speedup) for r in self.records) / len(self.records)
-        )
-
-    @property
-    def geomean_fast_speedup(self) -> float:
         """Geometric-mean reference-over-fast speedup across all cases."""
         if not self.records:
             return 0.0
         return math.exp(
-            sum(math.log(r.fast_speedup) for r in self.records)
-            / len(self.records)
+            sum(math.log(r.speedup) for r in self.records) / len(self.records)
         )
 
     @property
@@ -351,11 +322,9 @@ def run_case(
     """Benchmark one case; returns the record with both engine timings.
 
     The trace is generated once and reused, so only engine execution is
-    timed.  Runs are interleaved (reference, fast, soa, reference, ...)
-    and the best CPU time per engine is kept, which makes the ratios
-    robust against background load and frequency scaling.  Call
-    :func:`repro.sim.soa_kernel.get_kernel` first (``run_bench`` does)
-    so a one-time compiled-kernel build is never charged to a case.
+    timed.  Runs are interleaved (reference, fast, reference, ...) and
+    the best CPU time per engine is kept, which makes the ratios robust
+    against background load and frequency scaling.
     """
     scale = scale or ExperimentScale()
     config = SystemConfig(num_cpus=case.num_cpus, protocol=case.protocol)
@@ -380,21 +349,17 @@ def run_case(
             best[engine] = min(best[engine], seconds)
             results[engine] = result
 
-    identical = all(
-        not diff_fingerprints(
-            result_fingerprint(results[ENGINE_REFERENCE]),
-            result_fingerprint(results[engine]),
-        )
-        for engine in BENCH_ENGINES[1:]
+    identical = not diff_fingerprints(
+        result_fingerprint(results[ENGINE_REFERENCE]),
+        result_fingerprint(results[ENGINE_FAST]),
     )
-    soa = results[ENGINE_SOA]
+    fast = results[ENGINE_FAST]
     return BenchRecord(
         case=case,
         reference_seconds=best[ENGINE_REFERENCE],
         fast_seconds=best[ENGINE_FAST],
-        soa_seconds=best[ENGINE_SOA],
-        references=soa.stats.total_instructions + soa.warmup_references,
-        runtime_cycles=soa.runtime_cycles,
+        references=fast.stats.total_instructions + fast.warmup_references,
+        runtime_cycles=fast.runtime_cycles,
         identical=identical,
         repeats=max(1, repeats),
     )
@@ -413,12 +378,7 @@ def run_bench(
     sweep (:func:`run_incremental_sweep`).
     """
     scale = scale or ExperimentScale()
-    # Resolve (and, for the C backend, compile) the SoA scan kernel up
-    # front: the one-time build must not be charged to the first case.
-    kernel_name, _ = get_kernel()
-    report = BenchReport(
-        trace_scale=scale.trace_scale, tag=tag, soa_kernel=kernel_name
-    )
+    report = BenchReport(trace_scale=scale.trace_scale, tag=tag)
     for case in cases if cases is not None else default_cases():
         report.records.append(run_case(case, repeats=repeats, scale=scale))
     if incremental:
@@ -429,11 +389,12 @@ def run_bench(
 def _best_speedup(case: dict[str, Any]) -> float:
     """Best engine speedup a BENCH case payload records.
 
-    Schema-1 cases carry only ``speedup`` (reference over fast); schema-2
-    cases additionally carry ``fast_speedup`` with ``speedup`` redefined
-    as reference over SoA.  The gate compares best against best: the
-    promise the trajectory makes is that the *best* engine never loses
-    ground, not that one particular engine wins every case.
+    Schema-1 and schema-3 cases carry only ``speedup`` (reference over
+    fast); schema-2 cases additionally carry ``fast_speedup`` with
+    ``speedup`` redefined as reference over a third engine since
+    folded into fast.  The gate compares best against best: the promise
+    the trajectory makes is that the *best* engine never loses ground,
+    not that one particular engine wins every case.
     """
     return max(case.get("speedup", 0.0), case.get("fast_speedup", 0.0))
 
@@ -457,7 +418,7 @@ def check_baseline(
     The per-case bar is deliberately the looser one: re-benchmarking an
     *unchanged* revision on a different day measures individual-case
     CPU-time ratios up to ~30% apart on a busy single-core host (the
-    reference loop and the vectorized engines respond differently to
+    reference loop and the fast engine respond differently to
     cache/frequency pressure), while the geomean over the full matrix
     stays within a few percent.  The tight bar therefore goes on the
     geomean, where noise averages out, and the per-case bar only catches
@@ -518,9 +479,7 @@ def bench_payload(report: BenchReport) -> dict[str, Any]:
         "trace_scale": report.trace_scale,
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "soa_kernel": report.soa_kernel,
         "geomean_speedup": round(report.geomean_speedup, 4),
-        "geomean_fast_speedup": round(report.geomean_fast_speedup, 4),
         "cases_at_least_2x": report.cases_at_least_2x,
         "all_identical": report.all_identical,
         "cases": [
@@ -531,12 +490,9 @@ def bench_payload(report: BenchReport) -> dict[str, Any]:
                 "protocol": record.case.protocol,
                 "reference_seconds": round(record.reference_seconds, 4),
                 "fast_seconds": round(record.fast_seconds, 4),
-                "soa_seconds": round(record.soa_seconds, 4),
                 "speedup": round(record.speedup, 4),
-                "fast_speedup": round(record.fast_speedup, 4),
                 "references": record.references,
                 "fast_refs_per_second": round(record.fast_refs_per_second, 1),
-                "soa_refs_per_second": round(record.soa_refs_per_second, 1),
                 "runtime_cycles": record.runtime_cycles,
                 "identical": record.identical,
                 "repeats": record.repeats,
@@ -548,17 +504,14 @@ def bench_payload(report: BenchReport) -> dict[str, Any]:
 
 def format_bench(report: BenchReport) -> str:
     """Human-readable table of a bench report."""
-    headers = (
-        "case", "reference", "fast", "soa", "speedup", "refs/s", "identical"
-    )
+    headers = ("case", "reference", "fast", "speedup", "refs/s", "identical")
     rows = [
         (
             record.case.name,
             f"{record.reference_seconds:.2f}s",
             f"{record.fast_seconds:.2f}s",
-            f"{record.soa_seconds:.2f}s",
             f"{record.speedup:.2f}x",
-            f"{record.soa_refs_per_second:,.0f}",
+            f"{record.fast_refs_per_second:,.0f}",
             "yes" if record.identical else "NO",
         )
         for record in report.records
@@ -575,9 +528,7 @@ def format_bench(report: BenchReport) -> str:
         lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
     lines.append("")
     lines.append(
-        f"geomean speedup {report.geomean_speedup:.2f}x (soa, kernel "
-        f"{report.soa_kernel or 'unresolved'}; fast "
-        f"{report.geomean_fast_speedup:.2f}x) over "
+        f"geomean speedup {report.geomean_speedup:.2f}x over "
         f"{len(report.records)} cases ({report.cases_at_least_2x} at >=2x), "
         f"results {'bit-identical' if report.all_identical else 'DIVERGED'}"
     )

@@ -1,11 +1,11 @@
-"""Execution engines: the reference loop, the fast path, and the SoA core.
+"""Execution engines: the reference loop and the fast path.
 
-The simulator supports three interchangeable execution engines:
+The simulator supports two interchangeable execution engines:
 
 * the **reference engine** walks every reference through the layered
   component APIs (:meth:`repro.cpu.core.CpuCore.translate`, the cache
   hierarchy, the hypervisor access hooks).  It is the specification:
-  small, obvious, and the thing every other engine is measured against;
+  small, obvious, and the thing the fast engine is measured against;
 
 * the **fast engine** executes the same simulation through a batch
   executor that retires steady-state references in bulk.  When a
@@ -16,20 +16,20 @@ The simulator supports three interchangeable execution engines:
   statistics as per-chunk array sums instead of per-reference attribute
   updates.  The moment any slow-path condition holds (TLB miss, data
   miss, pending defragmentation remap, a fault) the executor falls back
-  to the exact reference code path for that reference;
+  to the exact reference code path for that reference.
 
-* the **soa engine** (struct-of-arrays) goes one representation step
-  further: it mirrors the hot lookup state -- L1 TLB entries and L1
-  data tags -- into flat power-of-2 numpy tables, scans each stream's
-  upcoming references through a vectorized (optionally compiled, see
-  :mod:`repro.sim.soa_kernel`) steady-prefix kernel, and retires whole
-  multi-round windows of steady references with array sums and
-  batched LRU updates.  The first slow-path condition ends the window
-  and the engine drops to the fast engine's exact per-chunk path, so
-  every architecturally interesting reference still runs the reference
-  semantics.
+  Right after a round-robin round in which every chunk was fully
+  steady, the executor also tries *bulk retirement*: it mirrors the hot
+  lookup state -- L1 TLB entries and L1 data tags -- into flat
+  power-of-2 numpy tables, scans each stream's upcoming references
+  with a vectorized steady-prefix scan, and retires whole rounds of
+  steady references with array sums and batched LRU updates.  The first
+  slow-path condition ends the window and the executor drops back to
+  its exact rounds, so every architecturally interesting reference
+  still runs the reference semantics, and runs that never have an
+  all-steady round build nothing for the bulk path.
 
-The fast and soa engines additionally install flattened implementations of the
+The fast engine additionally installs flattened implementations of the
 hottest component paths on the machine it runs -- the cache hierarchy
 access path and co-tag/line-indexed translation structure invalidation.
 These are pure implementation swaps: they mutate the *same* state
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import gc
 import os
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
@@ -82,18 +83,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 #: (overridable per process with ``REPRO_SIM_ENGINE``).
 ENGINE_REFERENCE = "reference"
 ENGINE_FAST = "fast"
-ENGINE_SOA = "soa"
-ENGINES = (ENGINE_REFERENCE, ENGINE_FAST, ENGINE_SOA)
+ENGINES = (ENGINE_REFERENCE, ENGINE_FAST)
 ENGINE_DEFAULT = ENGINE_FAST
 
 #: Environment variable selecting the engine for simulators that were
-#: not given one explicitly (``reference``, ``fast`` or ``soa``).
+#: not given one explicitly (``reference`` or ``fast``).
 ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
 
 #: When set, :func:`repro.api.session.execute_request` runs every
-#: non-reference trace request through the reference engine as well (and
-#: for ``soa`` also through ``fast``) and raises
-#: :class:`FastPathMismatchError` unless the results are bit-identical.
+#: non-reference trace request through the reference engine as well and
+#: raises :class:`FastPathMismatchError` unless the results are
+#: bit-identical.
 #: Valid values: ``1``/``true`` (on), ``0``/``false``/unset (off);
 #: anything else is a loud error, not a silent boolean guess.
 VALIDATE_ENV_VAR = "REPRO_VALIDATE_FASTPATH"
@@ -110,6 +110,20 @@ class FastPathMismatchError(AssertionError):
     """Fast and reference engines disagreed on a supposedly equal run."""
 
 
+def check_engine(engine: str, source: str = "") -> None:
+    """Raise a ValueError unless ``engine`` names an engine.
+
+    The one unknown-engine error of the package: every surface that
+    accepts an engine name (``Simulator``, ``RunRequest``,
+    ``FleetRequest``, ``REPRO_SIM_ENGINE``) reports it through here.
+    """
+    if engine not in ENGINES:
+        known = ", ".join(ENGINES)
+        raise ValueError(
+            f"unknown simulation engine {engine!r}{source}; known: {known}"
+        )
+
+
 def resolve_engine(engine: Optional[str], validate: bool = False) -> str:
     """Resolve an engine request to a concrete engine name.
 
@@ -121,11 +135,7 @@ def resolve_engine(engine: Optional[str], validate: bool = False) -> str:
     if not engine:
         engine = os.environ.get(ENGINE_ENV_VAR) or ENGINE_DEFAULT
         source = f" (from {ENGINE_ENV_VAR})"
-    if engine not in ENGINES:
-        known = ", ".join(ENGINES)
-        raise ValueError(
-            f"unknown simulation engine {engine!r}{source}; known: {known}"
-        )
+    check_engine(engine, source)
     if validate:
         return ENGINE_REFERENCE
     return engine
@@ -845,12 +855,39 @@ class FastPathExecutor:
     of ``_INTERLEAVE_CHUNK`` references per vCPU) and falls back to
     :meth:`Simulator._execute_reference` for any reference that is not
     fully steady-state.
+
+    Right after an exact round in which every chunk was fully steady
+    (and only when no per-round hook observes the span), the executor
+    tries to retire a whole *window* of rounds at once.  It (1) builds
+    per-core direct-mapped mirror tables (flat int64 arrays with
+    power-of-2 index masks) of the L1 TLB and the L1 data tags from the
+    authoritative structures, (2) runs :func:`_steady_prefix` over each
+    active stream's upcoming addresses, and (3) bulk-retires ``R`` full
+    rounds, where ``R`` is the largest round count every active stream
+    covers steadily.  Bulk retirement applies exactly the effects the
+    exact rounds would have applied reference by reference: statistic
+    sums, LRU ``move_to_end`` replayed per distinct key in
+    last-occurrence order, dirty bits for written lines, idempotent
+    clock-policy touched bits, and per-VM attribution.  That is sound
+    because an all-steady window cannot change TLB or cache membership,
+    only recency metadata and counters.  Mirror collisions only ever
+    produce false *negatives* (a steady reference classified slow),
+    never false positives, so they cost speed, not correctness.
     """
 
+    #: Initial per-stream scan horizon in references.  Doubles each time
+    #: a window is cut short by the horizon rather than by a slow
+    #: reference; the cap bounds the per-window arrays.
+    _SCAN_START = 2048
+    _SCAN_MAX = 1 << 12
+
     def __init__(self, simulator: "Simulator", trace, contexts) -> None:
+        from repro.sim.simulator import _INTERLEAVE_CHUNK
+
         self.simulator = simulator
         self.trace = trace
         self.contexts = contexts
+        self._chunk = _INTERLEAVE_CHUNK
         # One bulk conversion instead of two numpy-scalar conversions
         # per reference in the inner loop.
         self._gvas = [stream.tolist() for stream in trace.streams]
@@ -885,6 +922,15 @@ class FastPathExecutor:
             self._policy_kind = "fifo"
         else:  # pragma: no cover - no third policy exists today
             self._policy_kind = "other"
+        #: bulk-retirement eligibility: None until the first all-steady
+        #: round decides it (see :meth:`_bulk_eligible`).
+        self._bulk: Optional[bool] = None
+        self._horizon = self._SCAN_START
+        #: consecutive scans that found no steady round, and steady
+        #: rounds left to pass up before the next scan: mirror collisions
+        #: can hide resident entries on every scan of a steady phase.
+        self._misses = 0
+        self._skip = 0
 
     def execute_span(self, starts, ends, on_round=None) -> int:
         """Execute streams between per-stream ``starts`` and ``ends``.
@@ -897,36 +943,55 @@ class FastPathExecutor:
         ``on_round`` mirrors the reference engine's hook: it fires after
         every full round-robin round with the references executed so far
         in this span, which is a state both engines reach bit-exactly.
+        A hooked span runs exact rounds only, since the hook observes
+        every round.
         """
-        from repro.sim.simulator import _INTERLEAVE_CHUNK
-
-        trace = self.trace
         positions = list(starts)
         executed = 0
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
-            active = True
-            while active:
-                active = False
-                for vcpu in range(trace.num_vcpus):
-                    pos = positions[vcpu]
-                    end = min(pos + _INTERLEAVE_CHUNK, ends[vcpu])
-                    if pos >= end:
-                        continue
-                    active = True
-                    executed += self._run_chunk(vcpu, pos, end)
-                    positions[vcpu] = end
-                if active and on_round is not None:
+            while True:
+                ran, steady = self._exact_round(positions, ends)
+                if not ran:
+                    break
+                executed += ran
+                if on_round is not None:
                     on_round(executed)
+                elif steady and self._bulk_eligible():
+                    executed += self._bulk_window(positions, ends)
         finally:
             if gc_was_enabled:
                 gc.enable()
         return executed
 
+    def _exact_round(self, positions, ends) -> tuple[int, bool]:
+        """One round-robin round on the exact path.
+
+        Returns the references run and whether every chunk of the round
+        retired entirely on the steady path.
+        """
+        chunk = self._chunk
+        ran = 0
+        steady = True
+        for vcpu in range(self.trace.num_vcpus):
+            pos = positions[vcpu]
+            end = min(pos + chunk, ends[vcpu])
+            if pos >= end:
+                continue
+            if self._run_chunk(vcpu, pos, end) != end - pos:
+                steady = False
+            ran += end - pos
+            positions[vcpu] = end
+        return ran, steady
+
     def _run_chunk(self, vcpu: int, pos: int, end: int) -> int:
-        """Retire one vCPU's chunk ``[pos, end)``; return references run."""
+        """Retire one vCPU's chunk ``[pos, end)``.
+
+        Returns how many of its references were fully steady (an L1 TLB
+        hit and an L1 data hit), which gates bulk retirement.
+        """
         sim = self.simulator
         ctx = self.contexts[vcpu]
         gvas = self._gvas[vcpu]
@@ -1074,7 +1139,7 @@ class FastPathExecutor:
             l1_stats = l1.stats
             l1_stats.accesses += l1_accesses
             l1_stats.hits += l1_hits
-        return end - pos
+        return warm_refs
 
     def _slow_reference(self, cpu: int, ctx, gva: int, is_write: bool) -> None:
         """One non-steady-state reference (reference ``_execute_reference``).
@@ -1168,207 +1233,77 @@ class FastPathExecutor:
         charge_cpu(cpu, core.hierarchy.access_cycles(spa, is_write))
 
 
-def _last_occurrence_order(values: np.ndarray) -> np.ndarray:
-    """Distinct values of ``values`` ordered by ascending last occurrence.
-
-    Replaying ``move_to_end`` once per distinct key in this order yields
-    the exact OrderedDict order that per-reference ``move_to_end`` calls
-    would have produced -- provided membership did not change, which is
-    the invariant of an all-steady window.
-    """
-    reversed_values = values[::-1]
-    distinct, first_in_reversed = np.unique(
-        reversed_values, return_index=True
-    )
-    last = values.shape[0] - 1 - first_in_reversed
-    return distinct[np.argsort(last, kind="stable")]
-
-
-class SoAExecutor(FastPathExecutor):
-    """Struct-of-arrays executor: vectorized multi-round steady windows.
-
-    The fast engine retires steady references one Python iteration at a
-    time; this engine retires them in *windows* of whole round-robin
-    rounds.  Per window it (1) rebuilds per-core direct-mapped mirror
-    tables (flat int64 arrays with power-of-2 index masks) of the L1 TLB
-    and the L1 data tags from the authoritative structures, (2) runs the
-    :mod:`repro.sim.soa_kernel` steady-prefix scan over each stream's
-    precomputed address columns, and (3) bulk-retires ``R`` full rounds
-    where ``R`` is the largest round count every active stream can cover
-    steadily.  Bulk retirement applies exactly the effects the fast
-    engine's steady path would have applied reference by reference:
-    statistic sums, LRU ``move_to_end`` replayed per distinct key in
-    last-occurrence order, dirty bits for written lines, idempotent
-    clock-policy touched bits, and per-VM attribution.  That is sound
-    because an all-steady window cannot change TLB or cache membership,
-    only recency metadata and counters.
-
-    Anything else -- a TLB or L1 miss, a partial tail chunk, a
-    defragmenting configuration, an unknown paging policy -- drops to
-    the inherited :class:`FastPathExecutor` exact path, chunk by chunk,
-    so slow references execute the reference semantics unchanged.
-    Mirror collisions only ever produce false *negatives* (a steady
-    reference classified slow), never false positives, so they cost
-    speed, not correctness.
-    """
-
-    #: Initial per-stream scan horizon in references.  Doubles each time
-    #: a scan is cut short by the horizon rather than by a slow
-    #: reference, so long steady phases converge to O(log) scans.
-    _SCAN_START = 2048
-    _SCAN_MAX = 1 << 21
-
-    def __init__(self, simulator: "Simulator", trace, contexts) -> None:
-        super().__init__(simulator, trace, contexts)
-        self._bulk = self._bulk_eligible()
-        if self._bulk:
-            self._prepare_columns()
-
+    # ------------------------------------------------------------------
+    # bulk retirement
+    # ------------------------------------------------------------------
     def _bulk_eligible(self) -> bool:
         """Whether bulk windows are sound for this simulator + trace.
 
-        Ineligible shapes are rare and still correct: the executor then
-        behaves exactly like the fast engine.
+        Decided (and the mirror shapes computed) at the first all-steady
+        round, so a run that never has one builds nothing for the bulk
+        path.  Ineligible shapes are rare and still correct: they stay
+        on exact rounds.
         """
+        if self._bulk is not None:
+            return self._bulk
+        self._bulk = False
         if self._defrag or self._policy_kind == "other":
             # defrag interposes on_data_access on every steady
             # reference; "other" policies have per-access callbacks.
             return False
-        # TLB mirror tags pack (gvp << 6) | vm_code into an int64, where
-        # vm_code is a dense per-executor index over the traced VM ids.
+        # TLB mirror tags pack (gvp << _VM_BITS) | vm_code into an int64,
+        # where vm_code is a dense per-executor index over the traced VM
+        # ids.
         vm_ids = sorted({ctx.vm_id for ctx in self.contexts})
-        if len(vm_ids) >= 64:  # pragma: no cover - fleets are far smaller
+        if len(vm_ids) >= 1 << _VM_BITS:  # pragma: no cover - fleets are small
             return False
-        self._vm_code = {vm_id: code for code, vm_id in enumerate(vm_ids)}
-        self._vm_of_code = vm_ids
         for stream in self.trace.streams:
             if stream.shape[0] and int(stream.max()) >= 1 << 55:
                 return False  # pragma: no cover - addresses are < 2^55
-        return True
-
-    def _prepare_columns(self) -> None:
-        """Precompute per-stream SoA address columns and mirror shapes."""
+        self._vm_code = {vm_id: code for code, vm_id in enumerate(vm_ids)}
+        self._vm_of_code = vm_ids
         chip = self.simulator.chip
-        core0 = chip.cores[0]
-        tlb_capacity = max(
-            core.tlb_l1.capacity for core in chip.cores
-        )
+        tlb_capacity = max(core.tlb_l1.capacity for core in chip.cores)
         l1_lines = max(
             core.l1.num_sets * core.l1.associativity for core in chip.cores
         )
-        # 4x the structure capacity keeps direct-mapped collisions (and
-        # therefore spurious exact-path rounds) rare.
+        # 4x the TLB and 2x the L1 capacity keep direct-mapped collisions
+        # (and therefore spurious exact rounds) rare.
         self._tmask = (1 << max(4 * tlb_capacity - 1, 1).bit_length()) - 1
         self._lmask = (1 << max(2 * l1_lines - 1, 1).bit_length()) - 1
         self._warm_cost = (
-            self.simulator.config.costs.l1_tlb_latency + core0.l1.latency
+            self.simulator.config.costs.l1_tlb_latency
+            + chip.cores[0].l1.latency
         )
-        line_mask = ~(CACHE_LINE_SIZE - 1)
-        self._col_tag: list[np.ndarray] = []
-        self._col_tidx: list[np.ndarray] = []
-        self._col_loff: list[np.ndarray] = []
-        self._col_write: list[np.ndarray] = []
-        for vcpu, stream in enumerate(self.trace.streams):
-            gva = np.ascontiguousarray(stream, dtype=np.int64)
-            gvp = gva >> PAGE_SHIFT
-            vm_code = self._vm_code[self.contexts[vcpu].vm_id]
-            self._col_tag.append(np.ascontiguousarray((gvp << 6) | vm_code))
-            self._col_tidx.append(np.ascontiguousarray(gvp & self._tmask))
-            self._col_loff.append(
-                np.ascontiguousarray((gva & (PAGE_SIZE - 1)) & line_mask)
-            )
-            self._col_write.append(
-                np.ascontiguousarray(self.trace.writes[vcpu], dtype=bool)
-            )
-        from repro.sim.soa_kernel import get_kernel
+        self._bulk = True
+        return True
 
-        self.kernel_name, self._scan = get_kernel()
+    def _bulk_window(self, positions, ends) -> int:
+        """Scan ahead and bulk-retire the rounds all streams cover steadily.
 
-    # ------------------------------------------------------------------
-    # the windowed span loop
-    # ------------------------------------------------------------------
-    def execute_span(self, starts, ends, on_round=None) -> int:
-        """Execute streams between ``starts`` and ``ends`` in windows.
-
-        Bit-identical to both other engines: bulk windows cover only
-        references whose effects commute into sums and last-occurrence
-        LRU replays, and ``on_round`` still fires after every full
-        round-robin round (windows are retired round by round whenever a
-        hook is attached, so observation points are unchanged).
+        Returns the references retired: 0 when some active stream has a
+        slow reference (or only a partial chunk) before its next full
+        chunk ends.  After the ``k``-th such miss in a row the next
+        ``2**(k - 1) - 1`` calls (at most 63) pass without scanning.
         """
-        if not self._bulk:
-            return super().execute_span(starts, ends, on_round)
-        from repro.sim.simulator import _INTERLEAVE_CHUNK
-
-        num_vcpus = self.trace.num_vcpus
-        positions = list(starts)
-        executed = 0
-        horizon = self._SCAN_START
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            zero_streak = 0
-            while True:
-                active = [
-                    s for s in range(num_vcpus) if positions[s] < ends[s]
-                ]
-                if not active:
-                    break
-                rounds, limited, window = self._scan_window(
-                    positions, ends, active, horizon
-                )
-                if rounds == 0:
-                    # Slow content (or a sub-chunk tail) ahead on some
-                    # stream: run exact interleaved rounds.  The batch
-                    # grows with consecutive slow scans so scan overhead
-                    # amortizes across slow-path-heavy phases.
-                    for _ in range(1 << min(zero_streak, 6)):
-                        advanced = self._exact_round(
-                            positions, ends, executed, on_round
-                        )
-                        if advanced == executed:
-                            break
-                        executed = advanced
-                    zero_streak += 1
-                    horizon = self._SCAN_START
-                    continue
-                zero_streak = 0
-                if on_round is None:
-                    executed += self._retire_rounds(
-                        active, positions, window, 0, rounds,
-                        _INTERLEAVE_CHUNK,
-                    )
-                else:
-                    for r in range(rounds):
-                        executed += self._retire_rounds(
-                            active, positions, window, r, r + 1,
-                            _INTERLEAVE_CHUNK,
-                        )
-                        on_round(executed)
-                if limited:
-                    horizon = min(horizon * 2, self._SCAN_MAX)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        return executed
-
-    def _exact_round(self, positions, ends, executed, on_round) -> int:
-        """One full round-robin round on the inherited exact chunk path."""
-        from repro.sim.simulator import _INTERLEAVE_CHUNK
-
-        advanced = False
-        for vcpu in range(self.trace.num_vcpus):
-            pos = positions[vcpu]
-            end = min(pos + _INTERLEAVE_CHUNK, ends[vcpu])
-            if pos >= end:
-                continue
-            advanced = True
-            executed += self._run_chunk(vcpu, pos, end)
-            positions[vcpu] = end
-        if advanced and on_round is not None:
-            on_round(executed)
-        return executed
+        if self._skip:
+            self._skip -= 1
+            return 0
+        active = [
+            s for s in range(self.trace.num_vcpus) if positions[s] < ends[s]
+        ]
+        if not active:
+            return 0
+        rounds, window = self._scan_window(positions, ends, active)
+        if rounds == 0:
+            self._horizon = self._SCAN_START
+            self._skip = (1 << min(self._misses, 6)) - 1
+            self._misses += 1
+            return 0
+        self._misses = 0
+        if rounds * self._chunk == self._horizon:
+            self._horizon = min(2 * self._horizon, self._SCAN_MAX)
+        return self._retire_rounds(active, positions, window, rounds)
 
     def _build_mirrors(self, cpus):
         """Direct-mapped numpy mirrors of each core's L1 TLB and L1 tags.
@@ -1384,86 +1319,77 @@ class SoAExecutor(FastPathExecutor):
         chip = self.simulator.chip
         tmask = self._tmask
         lmask = self._lmask
+        vm_code_of = self._vm_code.get
         for cpu in cpus:
             core = chip.cores[cpu]
             tlb_tag = np.full(tmask + 1, -1, dtype=np.int64)
             tlb_spp = np.zeros(tmask + 1, dtype=np.int64)
-            vm_code_of = self._vm_code.get
             for (vm_id, gvp), entry in core.tlb_l1._entries.items():
                 vm_code = vm_code_of(vm_id)
                 if vm_code is None:
                     # An untraced VM's entry can never match a scanned
                     # tag; leaving it out only costs a false negative.
                     continue
-                slot = gvp & tmask
-                tlb_tag[slot] = (gvp << 6) | vm_code
+                slot = (gvp ^ (vm_code * _VM_SALT)) & tmask
+                tlb_tag[slot] = (gvp << _VM_BITS) | vm_code
                 tlb_spp[slot] = entry.value
+            # Colliding lines overwrite each other; whichever survives is
+            # resident, so the mirror stays a subset of the cache.
+            lines = np.fromiter(
+                chain.from_iterable(core.l1._sets), dtype=np.int64
+            )
             l1_tag = np.full(lmask + 1, -1, dtype=np.int64)
-            for line_set in core.l1._sets:
-                for line in line_set:
-                    l1_tag[(line >> 6) & lmask] = line
+            l1_tag[(lines >> _LINE_SHIFT) & lmask] = lines
             mirrors[cpu] = (tlb_tag, tlb_spp, l1_tag)
         return mirrors
 
-    def _scan_window(self, positions, ends, active, horizon):
+    def _scan_window(self, positions, ends, active):
         """Find how many whole rounds every active stream covers steadily.
 
-        Returns ``(rounds, horizon_limited, window)`` where ``window``
-        maps each scanned stream to its ``(tag, spp, line, write)``
-        column views for the scanned region.
+        Returns ``(rounds, window)``, where ``window`` maps each active
+        stream to its ``(gva, spp, line)`` arrays from its position on,
+        each covering at least ``rounds`` chunks.  Every stream only
+        scans as far as all streams before it covered.
         """
-        from repro.sim.simulator import _INTERLEAVE_CHUNK
-
-        mirrors = self._build_mirrors({self._pcpus[s] for s in active})
-        scan = self._scan
-        lmask = self._lmask
-        rounds = None
-        limited = False
+        chunk = self._chunk
+        pcpus = self._pcpus
+        streams = self.trace.streams
+        mirrors = self._build_mirrors({pcpus[s] for s in active})
+        cover = self._horizon
         window = {}
         for s in active:
             pos = positions[s]
-            avail = ends[s] - pos
-            look = min(avail, horizon)
-            tlb_tag, tlb_spp, l1_tag = mirrors[self._pcpus[s]]
-            tag = self._col_tag[s][pos:pos + look]
-            tidx = self._col_tidx[s][pos:pos + look]
-            loff = self._col_loff[s][pos:pos + look]
-            spp_out = np.empty(look, dtype=np.int64)
-            line_out = np.empty(look, dtype=np.int64)
-            prefix = scan(
-                tlb_tag, tlb_spp, l1_tag, tag, tidx, loff, lmask,
-                spp_out, line_out,
+            look = min(ends[s] - pos, cover)
+            gva = np.asarray(streams[s][pos:pos + look], dtype=np.int64)
+            spp = np.empty(look, dtype=np.int64)
+            line = np.empty(look, dtype=np.int64)
+            prefix = _steady_prefix(
+                gva, self._vm_code[self.contexts[s].vm_id],
+                *mirrors[pcpus[s]], self._tmask, self._lmask, spp, line,
             )
-            if prefix == look and look < avail:
-                limited = True
-            stream_rounds = prefix // _INTERLEAVE_CHUNK
-            if rounds is None or stream_rounds < rounds:
-                rounds = stream_rounds
-            if rounds == 0:
-                return 0, limited, {}
-            window[s] = (tag, spp_out, line_out,
-                         self._col_write[s][pos:pos + look])
-        return rounds, limited, window
+            cover = prefix - prefix % chunk
+            if cover == 0:
+                return 0, {}
+            window[s] = (gva, spp, line)
+        return cover // chunk, window
 
-    def _retire_rounds(
-        self, active, positions, window, first_round, last_round, chunk
-    ) -> int:
-        """Bulk-retire rounds ``[first_round, last_round)`` of a window."""
+    def _retire_rounds(self, active, positions, window, rounds) -> int:
+        """Bulk-retire the first ``rounds`` rounds of a scanned window."""
         sim = self.simulator
         stats = sim.stats
         chip = sim.chip
-        num_rounds = last_round - first_round
-        per_stream = num_rounds * chunk
-        lo = first_round * chunk
-        hi = last_round * chunk
+        chunk = self._chunk
+        per_stream = rounds * chunk
         warm_cost = self._warm_cost
         vm_of_stream = self._vm_of_stream
+        vm_code = self._vm_code
+        vm_of_code = self._vm_of_code
+        writes = self.trace.writes
 
         by_core: dict[int, list[int]] = {}
         for s in active:
             by_core.setdefault(self._pcpus[s], []).append(s)
 
-        executed = 0
         for cpu, streams in by_core.items():
             core = chip.cores[cpu]
             total = per_stream * len(streams)
@@ -1487,60 +1413,126 @@ class SoAExecutor(FastPathExecutor):
                 stats.vm_of_cpu[cpu] = vm_of_stream[streams[-1]]
             # Interleave the streams' chunks exactly as the round-robin
             # loop would have: (round, stream-in-vcpu-order, chunk).
-            if len(streams) == 1:
-                tag_merged = window[streams[0]][0][lo:hi]
-                line_merged = window[streams[0]][2][lo:hi]
-                write_merged = window[streams[0]][3][lo:hi]
-            else:
-                tag_merged = np.stack(
-                    [window[s][0][lo:hi].reshape(num_rounds, chunk)
-                     for s in streams],
-                    axis=1,
-                ).reshape(-1)
-                line_merged = np.stack(
-                    [window[s][2][lo:hi].reshape(num_rounds, chunk)
-                     for s in streams],
-                    axis=1,
-                ).reshape(-1)
-                write_merged = np.stack(
-                    [window[s][3][lo:hi].reshape(num_rounds, chunk)
-                     for s in streams],
-                    axis=1,
-                ).reshape(-1)
+            tags = _interleave(
+                [
+                    ((window[s][0][:per_stream] >> PAGE_SHIFT) << _VM_BITS)
+                    | vm_code[self.contexts[s].vm_id]
+                    for s in streams
+                ],
+                rounds,
+            )
+            lines = _interleave(
+                [window[s][2][:per_stream] for s in streams], rounds
+            )
+            written = _interleave(
+                [
+                    np.asarray(
+                        writes[s][positions[s]:positions[s] + per_stream],
+                        dtype=bool,
+                    )
+                    for s in streams
+                ],
+                rounds,
+            )
             tlb1_move = tlb1._entries.move_to_end
-            vm_of_code = self._vm_of_code
-            for packed in _last_occurrence_order(tag_merged).tolist():
-                tlb1_move((vm_of_code[packed & 63], packed >> 6))
+            for packed in _last_occurrence_order(tags).tolist():
+                tlb1_move((vm_of_code[packed & _VM_MASK], packed >> _VM_BITS))
             l1_sets = l1._sets
             num_sets = l1.num_sets
-            for line in _last_occurrence_order(line_merged).tolist():
-                l1_sets[(line >> 6) % num_sets].move_to_end(line)
-            if write_merged.any():
-                for line in np.unique(line_merged[write_merged]).tolist():
-                    l1_sets[(line >> 6) % num_sets][line].dirty = True
-            executed += total
+            for line in _last_occurrence_order(lines).tolist():
+                l1_sets[(line >> _LINE_SHIFT) % num_sets].move_to_end(line)
+            if written.any():
+                for line in np.unique(lines[written]).tolist():
+                    l1_sets[(line >> _LINE_SHIFT) % num_sets][line].dirty = True
 
         if self._paged and self._policy_kind == "clock":
             # Touched bits are idempotent, so distinct pages suffice.
             resident_get = sim.hypervisor._resident_by_spp.get
             clock_pages = sim.hypervisor.policy._pages
             for s in active:
-                for spp in np.unique(window[s][1][lo:hi]).tolist():
+                for spp in np.unique(window[s][1][:per_stream]).tolist():
                     resident_key = resident_get(spp)
                     if resident_key is not None and resident_key in clock_pages:
                         clock_pages[resident_key] = True
 
         for s in active:
             positions[s] += per_stream
-        return executed
+        return per_stream * len(active)
+
+
+#: log2 of the cache line size: the shift from line address to set/slot.
+_LINE_SHIFT = CACHE_LINE_SIZE.bit_length() - 1
+#: bits of a packed TLB mirror tag holding the dense VM code.
+_VM_BITS = 6
+_VM_MASK = (1 << _VM_BITS) - 1
+#: odd multiplier spreading VM codes over TLB mirror slots, so guests
+#: that use the same virtual pages do not collide slot for slot.
+_VM_SALT = 0x9E3779B1
+#: page-offset bits that select a cache line within a page.
+_PAGE_LINE_MASK = (PAGE_SIZE - 1) & ~(CACHE_LINE_SIZE - 1)
+#: Block size of the steady-prefix scan: big enough to amortize numpy
+#: dispatch, small enough that a scan stopped early by a slow reference
+#: does not compute far past it.
+_SCAN_BLOCK = 4096
+
+
+def _steady_prefix(gva, vm_code, tlb_tag, tlb_spp, l1_tag, tmask, lmask,
+                   spp_out, line_out) -> int:
+    """Length of the fully-steady prefix of one stream's addresses.
+
+    Reference ``i`` is steady when its packed ``(gvp, vm_code)`` tag sits
+    in its TLB mirror slot and the data line its mirrored SPP maps to
+    sits in its L1 mirror slot.  ``spp_out``/``line_out``
+    receive the SPP and line address of every prefix reference; entries
+    at or beyond the returned length are unspecified.
+    """
+    n = gva.shape[0]
+    for start in range(0, n, _SCAN_BLOCK):
+        block = gva[start:start + _SCAN_BLOCK]
+        stop = start + block.shape[0]
+        gvp = block >> PAGE_SHIFT
+        slot = (gvp ^ (vm_code * _VM_SALT)) & tmask
+        spp = tlb_spp[slot]
+        line = (spp << PAGE_SHIFT) | (block & _PAGE_LINE_MASK)
+        steady = (tlb_tag[slot] == ((gvp << _VM_BITS) | vm_code)) & (
+            l1_tag[(line >> _LINE_SHIFT) & lmask] == line
+        )
+        spp_out[start:stop] = spp
+        line_out[start:stop] = line
+        if not steady.all():
+            return start + int(np.argmin(steady))
+    return n
+
+
+def _interleave(columns: list, rounds: int) -> np.ndarray:
+    """Merge per-stream columns of ``rounds`` chunks in round-robin order."""
+    if len(columns) == 1:
+        return columns[0]
+    return np.stack(
+        [column.reshape(rounds, -1) for column in columns], axis=1
+    ).reshape(-1)
+
+
+def _last_occurrence_order(values: np.ndarray) -> np.ndarray:
+    """Distinct values of ``values`` ordered by ascending last occurrence.
+
+    Replaying ``move_to_end`` once per distinct key in this order yields
+    the exact OrderedDict order that per-reference ``move_to_end`` calls
+    would have produced -- provided membership did not change, which is
+    the invariant of an all-steady window.
+    """
+    reversed_values = values[::-1]
+    distinct, first_in_reversed = np.unique(
+        reversed_values, return_index=True
+    )
+    last = values.shape[0] - 1 - first_in_reversed
+    return distinct[np.argsort(last, kind="stable")]
 
 
 def make_executor(simulator: "Simulator", trace, contexts):
     """Build the executor matching the simulator's resolved engine."""
     if simulator.engine == ENGINE_FAST:
         return FastPathExecutor(simulator, trace, contexts)
-    if simulator.engine == ENGINE_SOA:
-        return SoAExecutor(simulator, trace, contexts)
     return ReferenceExecutor(simulator, trace, contexts)
 
 

@@ -25,7 +25,6 @@ from repro.energy.model import EnergyBreakdown, EnergyModel, EnergyParameters
 from repro.sim.engine import (
     ENGINE_FAST,
     ENGINE_REFERENCE,
-    ENGINE_SOA,
     install_fast_paths,
     make_executor,
     resolve_engine,
@@ -207,11 +206,10 @@ class Simulator:
         validate: cross-check every translation against the page tables
             (always runs on the reference engine).
         energy_parameters: overrides for the energy model.
-        engine: execution engine, ``"reference"``, ``"fast"`` or
-            ``"soa"`` (see :mod:`repro.sim.engine`).  ``None`` consults
-            the ``REPRO_SIM_ENGINE`` environment variable and defaults
-            to the fast engine; every engine produces bit-identical
-            results.
+        engine: execution engine, ``"reference"`` or ``"fast"`` (see
+            :mod:`repro.sim.engine`).  ``None`` consults the
+            ``REPRO_SIM_ENGINE`` environment variable and defaults to
+            the fast engine; both engines produce bit-identical results.
     """
 
     def __init__(
@@ -256,7 +254,7 @@ class Simulator:
             fine_grained_directory=config.directory.fine_grained,
         )
         self.engine = resolve_engine(engine, validate=validate)
-        if self.engine in (ENGINE_FAST, ENGINE_SOA) and not install_fast_paths(
+        if self.engine == ENGINE_FAST and not install_fast_paths(
             self.chip
         ):  # pragma: no cover - exotic geometry
             logger.warning(

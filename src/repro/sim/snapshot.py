@@ -11,8 +11,8 @@ and engines, is:
 
     *restore-then-continue is bit-identical to a straight-through run*
     -- same result fingerprint, same post-run machine digest -- on both
-    the reference, fast and SoA engines (and across them, since the
-    engines are themselves bit-identical).
+    the reference and fast engines (and across them, since the engines
+    are themselves bit-identical).
 
 Snapshots are captured only at **round-aligned** executor positions
 (every stream at ``warmup_start + k * chunk``), because those are

@@ -35,8 +35,8 @@ def test_gate_passes_when_nothing_moved():
 
 def test_gate_compares_best_engine_on_both_sides():
     # Schema-1 baseline: `speedup` is reference/fast.  Schema-2 payload:
-    # `speedup` is reference/soa and may legitimately be lower than
-    # `fast_speedup` on a case where soa ~= fast minus scan overhead.
+    # `speedup` timed a third engine and may legitimately be lower than
+    # `fast_speedup` on a case where that engine lost to fast.
     baseline = _payload([{"name": "a", "speedup": 2.0}], geomean=2.0)
     payload = _payload(
         [{"name": "a", "speedup": 1.2, "fast_speedup": 1.9}],
@@ -44,6 +44,36 @@ def test_gate_compares_best_engine_on_both_sides():
         geomean_fast=1.9,
     )
     assert check_baseline(payload, baseline) == []
+
+
+def test_gate_reads_schema_2_baseline_against_schema_3_payload():
+    # Schema-2 baseline: best of `speedup` (third engine) and
+    # `fast_speedup`.  Schema-3 payload: `speedup` is reference/fast and
+    # the only ratio, so it is compared with the baseline's best.
+    baseline = {
+        "schema": 2,
+        "cases": [
+            {"name": "resident", "speedup": 12.5, "fast_speedup": 4.6},
+            {"name": "thrash", "speedup": 1.8, "fast_speedup": 1.9},
+        ],
+        "geomean_speedup": 2.33,
+        "geomean_fast_speedup": 2.17,
+    }
+    payload = {
+        "schema": 3,
+        "cases": [
+            {"name": "resident", "speedup": 9.0},
+            {"name": "thrash", "speedup": 1.9},
+        ],
+        "geomean_speedup": 2.2,
+    }
+    assert check_baseline(payload, baseline) == []
+    payload["cases"][0]["speedup"] = 8.0  # < 0.7 * 12.5
+    payload["geomean_speedup"] = 2.0  # < 0.9 * 2.33
+    messages = check_baseline(payload, baseline)
+    assert len(messages) == 2
+    assert messages[0].startswith("resident:")
+    assert messages[1].startswith("geomean:")
 
 
 def test_gate_flags_a_case_falling_off_a_cliff():

@@ -21,7 +21,6 @@ from repro.sim.engine import (
     resolve_engine,
     validate_fastpath_requested,
 )
-from repro.sim.soa_kernel import resolve_kernel_request
 
 #: (env var, parse callable, valid raw value, expected parsed value,
 #:  invalid raw value).  The parse callable reads the environment the
@@ -30,8 +29,8 @@ ENV_TABLE = [
     (
         "REPRO_SIM_ENGINE",
         lambda: resolve_engine(None),
-        "soa",
-        "soa",
+        "reference",
+        "reference",
         "fsat",
     ),
     (
@@ -40,13 +39,6 @@ ENV_TABLE = [
         "1",
         True,
         "yes please",
-    ),
-    (
-        "REPRO_SOA_KERNEL",
-        resolve_kernel_request,
-        "python",
-        "python",
-        "pyton",
     ),
     (
         "REPRO_JOBS",

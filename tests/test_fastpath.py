@@ -1,19 +1,20 @@
 """Engine equivalence: bit-identical results across configurations.
 
-The fast and SoA engines (:mod:`repro.sim.engine`) must produce
+The fast engine (:mod:`repro.sim.engine`) must produce
 **bit-identical** ``MachineStats``, energy and machine state for every
 configuration the reference engine supports -- that property is what
-lets either be selected without a ``CACHE_SCHEMA_VERSION`` bump.  These
-tests force all three engines over the differential scenario matrix,
-every protocol, and the directory/paging/placement/hypervisor variants
-whose code paths the optimized engines specialize, comparing full
-machine digests (every counter, every resident cache line, TLB entry
-and directory entry).  The SoA engine's scan-kernel backends (numba, C,
-numpy) are additionally pinned against each other.
+lets it be selected without a ``CACHE_SCHEMA_VERSION`` bump.  These
+tests force both engines over the differential scenario matrix, every
+protocol, and the directory/paging/placement/hypervisor variants whose
+code paths the fast engine specializes, comparing full machine digests
+(every counter, every resident cache line, TLB entry and directory
+entry).  Resident scenarios additionally pin the fast engine's bulk
+retirement, and that it stays off where no round is fully steady.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 from pathlib import Path
 
@@ -29,7 +30,6 @@ from repro.sim.config import (
 from repro.sim.engine import (
     ENGINE_FAST,
     ENGINE_REFERENCE,
-    ENGINE_SOA,
     ENGINES,
     FastPathMismatchError,
     diff_fingerprints,
@@ -37,7 +37,7 @@ from repro.sim.engine import (
     resolve_engine,
     result_fingerprint,
 )
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import Simulator, SteppedRun, resolve_trace
 from repro.workloads import make_workload
 from tests.conftest import small_config
 from tests.test_differential import SCENARIO_MATRIX, matrix_spec, _base_config
@@ -201,11 +201,102 @@ def test_engine_env_override(monkeypatch):
     for engine in ENGINES:
         monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
         assert resolve_engine(None) == engine
-    with pytest.raises(ValueError, match="known: reference, fast, soa"):
+    with pytest.raises(ValueError, match="known: reference, fast$"):
         resolve_engine("warp")
     monkeypatch.setenv("REPRO_SIM_ENGINE", "fsat")
     with pytest.raises(ValueError, match="REPRO_SIM_ENGINE"):
         resolve_engine(None)
+
+
+# ----------------------------------------------------------------------
+# the retired "soa" engine name fails loudly on every surface
+# ----------------------------------------------------------------------
+def _value_error(call) -> str:
+    with pytest.raises(ValueError) as error:
+        call()
+    return str(error.value)
+
+
+def _soa_from_env(monkeypatch, capsys) -> str:
+    monkeypatch.setenv("REPRO_SIM_ENGINE", "soa")
+    return _value_error(lambda: Simulator(small_config()))
+
+
+def _soa_simulator(monkeypatch, capsys) -> str:
+    return _value_error(lambda: Simulator(small_config(), engine="soa"))
+
+
+def _soa_run_request(monkeypatch, capsys) -> str:
+    return _value_error(
+        lambda: RunRequest(config=small_config(), workload="canneal",
+                           engine="soa")
+    )
+
+
+def _soa_fleet_request(monkeypatch, capsys) -> str:
+    from repro.experiments.fleet import fleet_spec
+    from repro.fleet.spec import FleetRequest
+
+    spec = fleet_spec(hosts=2, vms_per_host=1, num_cpus=2, epochs=2,
+                      epoch_refs=512, storm_refs=64)
+    return _value_error(
+        lambda: FleetRequest(spec=spec, protocol="hatric", engine="soa")
+    )
+
+
+def _soa_cli(monkeypatch, capsys) -> str:
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--engine", "soa"])
+    assert exit_info.value.code == 2
+    return capsys.readouterr().err
+
+
+def _soa_post_run(monkeypatch, capsys) -> str:
+    from repro.serve import (
+        ReproServer,
+        ServiceClient,
+        ServiceSettings,
+        SimulationService,
+    )
+
+    payload = {"request": {
+        **RunRequest(config=small_config(), workload="canneal").to_dict(),
+        "engine": "soa",
+    }}
+
+    async def scenario():
+        service = SimulationService(ServiceSettings(cache_dir=None, workers=0))
+        server = ReproServer(service)
+        host, port = await server.start()
+        try:
+            return await ServiceClient(host, port).post("/run", payload)
+        finally:
+            await server.stop()
+
+    status, data = asyncio.run(scenario())
+    assert status == 400
+    return data["error"]["detail"]
+
+
+@pytest.mark.parametrize(
+    "surface",
+    [
+        _soa_from_env,
+        _soa_simulator,
+        _soa_run_request,
+        _soa_fleet_request,
+        _soa_cli,
+        _soa_post_run,
+    ],
+    ids=lambda surface: surface.__name__.removeprefix("_soa_"),
+)
+def test_retired_soa_engine_is_rejected(surface, monkeypatch, capsys):
+    """No alias, no special case: the unknown-engine error, naming both."""
+    message = surface(monkeypatch, capsys)
+    assert "soa" in message
+    assert "reference, fast" in message.replace("'", "")
 
 
 # ----------------------------------------------------------------------
@@ -238,16 +329,13 @@ def test_request_engine_field_keeps_default_cache_key():
     default = RunRequest(config=config, workload="canneal")
     explicit_fast = RunRequest(config=config, workload="canneal", engine="fast")
     reference = RunRequest(config=config, workload="canneal", engine="reference")
-    soa = RunRequest(config=config, workload="canneal", engine="soa")
     # the default-engine payload has no engine key at all, so keys are
     # exactly what they were before engine selection existed
     assert "engine" not in default.to_dict()
     assert default.cache_key != explicit_fast.cache_key
     assert explicit_fast.cache_key != reference.cache_key
-    assert len({default.cache_key, reference.cache_key,
-                explicit_fast.cache_key, soa.cache_key}) == 4
-    assert RunRequest.from_dict(soa.to_dict()).engine == "soa"
-    # adding the soa engine did not bump the cache schema: selecting it
+    assert default.cache_key != reference.cache_key
+    # engine selection never bumped the cache schema: picking an engine
     # changes nothing about what any existing key resolves to
     from repro.api.request import CACHE_SCHEMA_VERSION
 
@@ -300,98 +388,117 @@ def test_validate_fastpath_mode_detects_divergence(monkeypatch):
         execute_request(RunRequest(config=_base_config(), workload=spec.name))
 
 
-def test_validate_fastpath_mode_detects_soa_divergence(monkeypatch):
-    """Drift injected into the SoA engine alone is caught and attributed."""
-    monkeypatch.setenv("REPRO_VALIDATE_FASTPATH", "1")
-    from repro.sim import engine as engine_module
-
-    original = engine_module.SoAExecutor.execute_span
-
-    def skewed(self, starts, ends, on_round=None):
-        count = original(self, starts, ends, on_round)
-        self.simulator.stats.cpus[0].busy_cycles += 1  # inject drift
-        return count
-
-    monkeypatch.setattr(engine_module.SoAExecutor, "execute_span", skewed)
-    spec = matrix_spec(3)
-    with pytest.raises(FastPathMismatchError, match="soa engine diverged"):
-        execute_request(
-            RunRequest(config=_base_config(), workload=spec.name, engine="soa")
-        )
-
-
-# ----------------------------------------------------------------------
-# SoA specifics: bulk-window engagement and scan-kernel backends
-# ----------------------------------------------------------------------
 #: A scenario whose working set is genuinely TLB/L1-resident, so the
-#: SoA engine's vectorized steady windows actually engage (the default
-#: bench scenarios thrash by design and exercise the exact-path
-#: fallback instead).
+#: fast engine's bulk retirement actually engages (the default bench
+#: scenarios and the differential matrix thrash by design and stay on
+#: exact rounds).
 RESIDENT_STEADY = "syn:steady/seed=7/fp=6/hot=1.0/cold=0.0/reuse=16"
 
 
-def test_soa_bulk_windows_engage_and_stay_identical(monkeypatch):
-    """The vectorized window path really runs (not just the fallback)."""
+def _count_bulk(monkeypatch) -> dict:
+    """Count mirror builds and bulk-retired rounds of the fast engine."""
     from repro.sim import engine as engine_module
 
-    calls = {"windows": 0, "rounds": 0}
-    original = engine_module.SoAExecutor._scan_window
+    calls = {"mirrors": 0, "rounds": 0}
+    build = engine_module.FastPathExecutor._build_mirrors
+    retire = engine_module.FastPathExecutor._retire_rounds
 
-    def counted(self, positions, ends, active, horizon):
-        rounds, limited, window = original(
-            self, positions, ends, active, horizon
-        )
-        calls["windows"] += 1
+    def counted_build(self, cpus):
+        calls["mirrors"] += 1
+        return build(self, cpus)
+
+    def counted_retire(self, active, positions, window, rounds):
         calls["rounds"] += rounds
-        return rounds, limited, window
+        return retire(self, active, positions, window, rounds)
 
-    monkeypatch.setattr(engine_module.SoAExecutor, "_scan_window", counted)
+    monkeypatch.setattr(
+        engine_module.FastPathExecutor, "_build_mirrors", counted_build
+    )
+    monkeypatch.setattr(
+        engine_module.FastPathExecutor, "_retire_rounds", counted_retire
+    )
+    return calls
+
+
+def test_validate_fastpath_mode_detects_bulk_divergence(monkeypatch):
+    """Drift injected into bulk retirement alone is caught and attributed."""
+    monkeypatch.setenv("REPRO_VALIDATE_FASTPATH", "1")
+    from repro.sim import engine as engine_module
+
+    original = engine_module.FastPathExecutor._retire_rounds
+    calls = []
+
+    def skewed(self, active, positions, window, rounds):
+        calls.append(rounds)
+        self.simulator.stats.cpus[0].busy_cycles += 1  # inject drift
+        return original(self, active, positions, window, rounds)
+
+    monkeypatch.setattr(
+        engine_module.FastPathExecutor, "_retire_rounds", skewed
+    )
     config = SystemConfig(num_cpus=4, protocol="hatric")
-    assert_engines_identical(config, RESIDENT_STEADY, refs_total=24000)
-    assert calls["windows"] > 0
+    with pytest.raises(FastPathMismatchError, match="fast engine diverged"):
+        execute_request(
+            RunRequest(config=config, workload=RESIDENT_STEADY,
+                       refs_total=16000)
+        )
+    assert calls
+
+
+# ----------------------------------------------------------------------
+# bulk retirement: engaged on resident content, off on thrashing content
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "workload",
+    [
+        RESIDENT_STEADY,
+        # two resident guests time-sharing every pCPU (several streams
+        # and VMs per core in one window), each small enough that both
+        # fit the L1 together
+        "multi:syn:steady/seed=7/fp=3/hot=1.0/cold=0.0/reuse=16@4"
+        "+syn:steady/seed=8/fp=3/hot=1.0/cold=0.0/reuse=16@4+share=shared",
+    ],
+    ids=["resident", "resident-shared-pcpus"],
+)
+def test_bulk_retirement_engages_and_stays_identical(monkeypatch, workload):
+    """Resident content really takes the bulk path, bit-identically."""
+    calls = _count_bulk(monkeypatch)
+    config = SystemConfig(num_cpus=4, protocol="hatric")
+    assert_engines_identical(config, workload, refs_total=24000)
     assert calls["rounds"] > 0
 
 
-def _soa_digest(kernel: str, monkeypatch) -> dict:
-    monkeypatch.setenv("REPRO_SOA_KERNEL", kernel)
+def test_bulk_retirement_builds_nothing_without_steady_rounds(monkeypatch):
+    """A thrash-dominated scenario never has an all-steady round."""
+    calls = _count_bulk(monkeypatch)
+    spec = matrix_spec(3)
+    simulator = Simulator(_base_config(), engine=ENGINE_FAST)
+    result = simulator.run(make_workload(spec.name))
+    assert result.stats.total_instructions > 0
+    assert calls == {"mirrors": 0, "rounds": 0}
+
+
+def test_bulk_retirement_identical_on_uneven_stepped_spans(monkeypatch):
+    """Stepped spans (how the fleet advances hosts) end streams unevenly."""
+    calls = _count_bulk(monkeypatch)
     config = SystemConfig(num_cpus=4, protocol="hatric")
-    simulator = Simulator(config, engine=ENGINE_SOA)
-    result = simulator.run(make_workload(RESIDENT_STEADY), refs_total=16000)
-    return {
-        "digest": machine_digest(simulator),
-        "fingerprint": result_fingerprint(result),
-    }
-
-
-def test_soa_kernel_backends_bit_identical(monkeypatch):
-    """Every buildable scan backend produces the same digests."""
-    from repro.sim import soa_kernel
-
-    outcomes = {"python": _soa_digest("python", monkeypatch)}
-    try:
-        soa_kernel.get_kernel("c")
-    except RuntimeError:
-        pass  # no compiler on this host; the python leg still ran
-    else:
-        outcomes["c"] = _soa_digest("c", monkeypatch)
-    try:
-        soa_kernel.get_kernel("numba")
-    except ImportError:
-        pass  # optional dependency absent
-    else:
-        outcomes["numba"] = _soa_digest("numba", monkeypatch)
-    baseline = outcomes.pop("python")
-    for name, outcome in outcomes.items():
-        assert outcome == baseline, f"kernel {name} diverged from python"
-
-
-def test_soa_kernel_request_validation(monkeypatch):
-    from repro.sim.soa_kernel import resolve_kernel_request
-
-    monkeypatch.delenv("REPRO_SOA_KERNEL", raising=False)
-    assert resolve_kernel_request() == "auto"
-    monkeypatch.setenv("REPRO_SOA_KERNEL", "python")
-    assert resolve_kernel_request() == "python"
-    monkeypatch.setenv("REPRO_SOA_KERNEL", "pyton")
-    with pytest.raises(ValueError, match="valid values: auto, numba, c, python"):
-        resolve_kernel_request()
+    trace = resolve_trace(
+        make_workload(RESIDENT_STEADY), 4, config.seed, 24000
+    )
+    outcomes = {}
+    for engine in ENGINES:
+        simulator = Simulator(config, engine=engine)
+        run = SteppedRun(simulator, trace)
+        for step in range(1, 12):
+            run.advance({
+                s: max(run.positions[s], min(len(trace.streams[s]),
+                                             step * 32 * (8 + 3 * s)))
+                for s in range(4)
+                if (step + s) % 3
+            })
+        run.advance({s: len(stream) for s, stream in enumerate(trace.streams)})
+        outcomes[engine] = (
+            result_fingerprint(run.result()), machine_digest(simulator)
+        )
+    assert outcomes[ENGINE_FAST] == outcomes[ENGINE_REFERENCE]
+    assert calls["rounds"] > 0

@@ -3,10 +3,10 @@
 ``tests/golden/hunt_corpus.json`` snapshots the frontier of one pinned
 hunt (:data:`CORPUS_SETTINGS`): the worst translation-coherence
 scenarios the search has found so far.  Every entry re-simulates here
-across all three engines (``REPRO_VALIDATE_FASTPATH=1`` with the SoA
-engine runs reference, fast and SoA in one request and diffs them) and
-must reproduce its recorded protocol ordering and overhead ratio
-within the corpus tolerance.
+on both engines (``REPRO_VALIDATE_FASTPATH=1`` with the fast engine
+runs reference and fast in one request and diffs them) and must
+reproduce its recorded protocol ordering and overhead ratio within the
+corpus tolerance.
 
 The corpus also encodes the search's reason to exist: its best entry
 must be *strictly worse* (higher software-vs-ideal overhead) than
@@ -85,7 +85,7 @@ def test_corpus_entry_replays_across_engines(monkeypatch, index):
     corpus = _corpus()
     entry = corpus["entries"][index]
     session = Session()
-    requests = corpus_requests(corpus, entry, engine="soa")
+    requests = corpus_requests(corpus, entry, engine="fast")
     results = dict(
         zip(corpus["settings"]["protocols"], session.run_batch(requests))
     )

@@ -234,7 +234,7 @@ class TestTracingIsObservationOnly:
 # satellite 3: fleet interval conservation across engines
 # ----------------------------------------------------------------------
 class TestFleetIntervalConservation:
-    @pytest.mark.parametrize("engine", ["reference", "fast", "soa"])
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
     def test_per_epoch_intervals_sum_to_host_aggregates(self, engine):
         spec = fleet_spec(
             hosts=2,

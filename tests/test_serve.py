@@ -134,6 +134,28 @@ class TestProtocolErrors:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize("field", ["engine", "protocol"])
+    def test_bad_fleet_engine_or_protocol_is_400(self, tmp_path, field):
+        from repro.experiments.fleet import fleet_spec
+        from repro.fleet.spec import FleetRequest
+
+        spec = fleet_spec(hosts=2, vms_per_host=1, num_cpus=2, epochs=2,
+                          epoch_refs=512, storm_refs=64)
+        request = FleetRequest(spec=spec, protocol="hatric").to_dict()
+
+        async def scenario():
+            async with serve(tmp_path) as (client, service):
+                status, data = await client.post(
+                    "/fleet", {"request": {**request, field: "bogus"}}
+                )
+                assert status == 400
+                assert data["error"]["code"] == "invalid-request"
+                assert "'bogus'" in data["error"]["detail"]
+                assert service.metrics.rejected == 1
+                assert service.metrics.requests == 0
+
+        asyncio.run(scenario())
+
     def test_rejections_do_not_count_as_requests(self, tmp_path):
         async def scenario():
             async with serve(tmp_path) as (client, service):

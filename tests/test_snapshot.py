@@ -37,7 +37,7 @@ from repro.sim.config import MemoryConfig, PagingConfig, SystemConfig
 from repro.sim.engine import (
     ENGINE_FAST,
     ENGINE_REFERENCE,
-    ENGINE_SOA,
+    ENGINES,
     diff_fingerprints,
     machine_digest,
     result_fingerprint,
@@ -70,7 +70,6 @@ MULTI_WORKLOAD = (
     "+syn:migration-daemon/addr=zipf/seed=8/refs=6000/blen=80@4+share=shared"
 )
 PROTOCOLS = ("software", "unitd", "hatric", "ideal")
-ENGINES = (ENGINE_REFERENCE, ENGINE_FAST, ENGINE_SOA)
 
 
 def _config(protocol: str, num_cpus: int = 4, **overrides) -> SystemConfig:
@@ -146,6 +145,18 @@ def _assert_conservation(result) -> None:
         previous_end = sample.end_refs
     if samples:
         assert previous_end == stats.total_instructions
+
+
+@pytest.fixture
+def checkpoints_live(monkeypatch):
+    """Run the test with ``REPRO_VALIDATE_FASTPATH`` off.
+
+    Validation mode executes every request cold on both engines and
+    skips checkpoints by design (see ``execute_request_checkpointed``),
+    so tests that count checkpoint restores and cold runs -- the
+    checkpoint path itself -- turn it off for themselves.
+    """
+    monkeypatch.delenv("REPRO_VALIDATE_FASTPATH", raising=False)
 
 
 class TestSnapshotRoundTrip:
@@ -327,6 +338,7 @@ class TestSnapshotGuards:
         assert failed == 0
         assert store.load(path) is not None
 
+    @pytest.mark.usefixtures("checkpoints_live")
     def test_shape_corrupt_candidate_degrades_to_cold(self, tmp_path) -> None:
         # schema stamps intact, payload body gutted: the candidate scan
         # must skip it (cold run), not crash the batch
@@ -369,6 +381,7 @@ class TestSnapshotGuards:
         assert survivors == [6000, 5000, 4000, 3000]
 
 
+@pytest.mark.usefixtures("checkpoints_live")
 class TestSessionCheckpointing:
     SWEEP_WORKLOAD = "prefix:12000:syn:migration-daemon/seed=7"
 
