@@ -26,8 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import default_session
-from repro.experiments.runner import ExperimentScale
+from repro.api import ExperimentScale, default_session
 from repro.env import env_choice, env_float
 
 #: Directory holding the committed tables (written only when

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import sys
 
+from repro.api import ExperimentScale
 from repro.experiments.figure11 import format_figure11_right, run_figure11_right
-from repro.experiments.runner import ExperimentScale
 
 
 def main() -> None:

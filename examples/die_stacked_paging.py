@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import sys
 
+from repro.api import ExperimentScale
 from repro.experiments.figure2 import run_figure2, format_figure2
 from repro.experiments.runner import (
-    ExperimentScale,
     baseline_config,
     no_hbm_config,
     run_configuration,

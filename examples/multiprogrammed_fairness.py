@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import sys
 
+from repro.api import ExperimentScale
 from repro.experiments.figure10 import format_figure10, run_figure10
-from repro.experiments.runner import ExperimentScale
 
 
 def main() -> None:

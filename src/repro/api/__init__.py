@@ -21,7 +21,7 @@ the command line.
 
 from repro.api.cache import ResultCache, decode_result, default_cache_dir, encode_result
 from repro.api.checkpoint import CheckpointStore, checkpoint_family_key
-from repro.api.request import RunRequest, config_from_dict, config_to_dict
+from repro.api.request import RunRequest
 from repro.api.scale import SCALE_ENV_VAR, ExperimentScale
 from repro.api.session import (
     Session,
@@ -45,8 +45,6 @@ __all__ = [
     "SweepCell",
     "SweepResult",
     "checkpoint_family_key",
-    "config_from_dict",
-    "config_to_dict",
     "decode_result",
     "default_cache_dir",
     "default_session",

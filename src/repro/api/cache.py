@@ -18,13 +18,10 @@ import time
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple, Optional, Union
 
-from repro.api.request import (
-    CACHE_SCHEMA_VERSION,
-    config_from_dict,
-    config_to_dict,
-)
+from repro.api.request import CACHE_SCHEMA_VERSION
 from repro.energy.model import EnergyBreakdown
 from repro.obs.log import get_logger
+from repro.sim.config import config_from_dict, config_to_dict
 from repro.sim.remap_anatomy import AnatomyRow
 from repro.sim.simulator import SimulationResult
 from repro.sim.stats import (

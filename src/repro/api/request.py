@@ -37,10 +37,6 @@ EXPERIMENTS = (EXPERIMENT_TRACE, EXPERIMENT_REMAP)
 #: and overwritten) rather than returned stale.
 CACHE_SCHEMA_VERSION = 2
 
-# ``config_to_dict`` / ``config_from_dict`` moved to
-# :mod:`repro.sim.config` (the snapshot serializer needs them below the
-# API layer); imported above and re-exported here for compatibility.
-
 
 @dataclass(frozen=True)
 class RunRequest:

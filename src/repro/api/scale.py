@@ -1,9 +1,7 @@
 """Experiment scaling knobs (trace length and warmup).
 
-Historically part of :mod:`repro.experiments.runner`; it lives in the
-API layer now so the sweep engine can use it without importing the
-experiments package, and :mod:`repro.experiments.runner` re-exports it
-for backward compatibility.
+It lives in the API layer so the sweep engine can use it without
+importing the experiments package.
 """
 
 from __future__ import annotations

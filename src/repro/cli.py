@@ -19,7 +19,10 @@ optionally exports JSON.  Examples::
     python -m repro bench --workloads facesim,swaptions --repeats 3 \\
         --output BENCH_3.json
 
-The full command reference lives in docs/CLI.md.
+Every parser that can be the last one parsed binds its handler with
+``set_defaults(handler=...)``; a handler returns ``(text, exit_code)``
+and :func:`main` prints the text, writes ``--output`` and returns the
+code.  The full command reference lives in docs/CLI.md.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from repro.experiments import (
     run_figure13,
     run_xen_study,
 )
+from repro.experiments.output import experiment_output, render_table
 from repro.experiments.runner import baseline_config
 from repro.experiments.scenarios import (
     SCENARIO_FAMILIES,
@@ -130,6 +134,21 @@ FIGURES: dict[str, FigureSpec] = {
 }
 
 
+def _list_of(item: Callable[[str], Any]) -> Callable[[str], tuple]:
+    """argparse ``type=`` for a comma-separated list; ``""`` is empty."""
+
+    def parse(raw: str) -> tuple:
+        return tuple(item(part.strip()) for part in raw.split(",") if part.strip())
+
+    # argparse names the type in its error: "invalid int-list value: 'x'"
+    parse.__name__ = f"{item.__name__}-list"
+    return parse
+
+
+_NAMES = _list_of(str)
+_INTS = _list_of(int)
+
+
 def _parse_axis_value(raw: str) -> Any:
     for cast in (int, float):
         try:
@@ -144,43 +163,128 @@ def _parse_key_values(pairs: Sequence[str], option: str) -> dict[str, Any]:
     for pair in pairs:
         key, sep, value = pair.partition("=")
         if not sep or not key or not value:
-            raise SystemExit(f"error: {option} expects KEY=VALUE, got {pair!r}")
+            raise ValueError(f"{option} expects KEY=VALUE, got {pair!r}")
         parsed[key] = _parse_axis_value(value)
     return parsed
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--scale",
-        type=float,
-        default=None,
-        metavar="FACTOR",
-        help="trace-length multiplier (default: REPRO_EXPERIMENT_SCALE or 1.0)",
-    )
-    common.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fan runs out across N worker processes (results are identical)",
-    )
-    common.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persist results as JSON under DIR and reuse them across runs",
-    )
-    common.add_argument(
+# ----------------------------------------------------------------------
+# shared options: each helper adds a fresh action to the given parser
+# ----------------------------------------------------------------------
+def _add_json_output(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "--json", action="store_true", help="print JSON instead of a table"
     )
-    common.add_argument(
+    parser.add_argument(
         "--output",
         default=None,
         metavar="PATH",
         help="also write the printed output to PATH",
     )
 
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--scale",
+        type=float,
+        default=None,
+        metavar="FACTOR",
+        help="trace-length multiplier (default: REPRO_EXPERIMENT_SCALE or 1.0)",
+    )
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        metavar="N",
+        help="fan runs out across N worker processes (results are identical)",
+    )
+    parser.add_argument(
+        "--cache-dir",
+        default=None,
+        metavar="DIR",
+        help="persist results as JSON under DIR and reuse them across runs",
+    )
+    _add_json_output(parser)
+
+
+def _add_protocols(parser: argparse.ArgumentParser, default: Sequence[str]) -> None:
+    parser.add_argument(
+        "--protocols",
+        type=_NAMES,
+        default=",".join(default),
+        metavar="P1,P2,...",
+        help=f"protocols to compare (default: {','.join(default)})",
+    )
+
+
+def _add_engine(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--engine",
+        default=None,
+        choices=ENGINES,
+        help="simulation engine (default: REPRO_SIM_ENGINE or fast)",
+    )
+
+
+def _add_no_cache(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="disable the on-disk result cache (on by default here)",
+    )
+
+
+def _add_store_dir(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--cache-dir",
+        default=None,
+        metavar="DIR",
+        help="result-store directory (default: $REPRO_CACHE_DIR or "
+        "~/.cache/repro-hatric)",
+    )
+
+
+def _add_timeline_options(parser: argparse.ArgumentParser) -> None:
+    """The request shape timeline and profile share (and so cache)."""
+    from repro.experiments.timeline import (
+        DEFAULT_TIMELINE_REFS,
+        DEFAULT_TIMELINE_VCPUS,
+        DEFAULT_TIMELINE_WORKLOAD,
+        TIMELINE_PROTOCOLS,
+    )
+
+    parser.add_argument(
+        "--workload",
+        default=DEFAULT_TIMELINE_WORKLOAD,
+        metavar="NAME",
+        help=f"workload to run (default {DEFAULT_TIMELINE_WORKLOAD!r}; "
+        f"suite, mixNN, syn:, multi: and prefix: names all work)",
+    )
+    _add_protocols(parser, TIMELINE_PROTOCOLS)
+    parser.add_argument(
+        "--num-cpus",
+        type=int,
+        default=DEFAULT_TIMELINE_VCPUS,
+        metavar="N",
+        help=f"vCPU count (default {DEFAULT_TIMELINE_VCPUS})",
+    )
+    parser.add_argument(
+        "--refs",
+        type=int,
+        default=DEFAULT_TIMELINE_REFS,
+        metavar="N",
+        help=f"total references (default {DEFAULT_TIMELINE_REFS})",
+    )
+    parser.add_argument(
+        "--intervals",
+        type=int,
+        default=16,
+        metavar="N",
+        help="approximate number of telemetry intervals (default 16)",
+    )
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate figures of the HATRIC paper or run custom sweeps.",
@@ -188,13 +292,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    subparsers.add_parser("list", help="list figures and workloads")
+    subparsers.add_parser("list", help="list figures and workloads").set_defaults(
+        handler=_run_list
+    )
 
     for name, spec in FIGURES.items():
-        sub = subparsers.add_parser(name, parents=[common], help=spec.description)
+        sub = subparsers.add_parser(name, help=spec.description)
+        sub.set_defaults(handler=_run_figure, figure=name)
+        _add_common(sub)
         if "workloads" in spec.params:
             sub.add_argument(
                 "--workloads",
+                type=_NAMES,
                 default=None,
                 metavar="A,B,...",
                 help="comma-separated workload names (default: the paper's suite)",
@@ -216,9 +325,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="applications (vCPUs) per mix",
             )
 
-    sweep = subparsers.add_parser(
-        "sweep", parents=[common], help="run an arbitrary declarative sweep"
-    )
+    sweep = subparsers.add_parser("sweep", help="run an arbitrary declarative sweep")
+    sweep.set_defaults(handler=_run_sweep)
+    _add_common(sweep)
     sweep.add_argument(
         "--axis",
         action="append",
@@ -248,14 +357,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="hypervisor of the base system",
     )
 
-    _add_consolidation_parser(subparsers, common)
-    _add_scenario_parser(subparsers, common)
-    _add_hunt_parser(subparsers, common)
-    _add_timeline_parser(subparsers, common)
-    _add_profile_parser(subparsers, common)
-    _add_run_parser(subparsers, common)
+    _add_consolidation_parser(subparsers)
+    _add_scenario_parser(subparsers)
+    _add_hunt_parser(subparsers)
+    _add_timeline_parser(subparsers)
+    _add_profile_parser(subparsers)
+    _add_run_parser(subparsers)
     _add_trace_parser(subparsers)
-    _add_fleet_parser(subparsers, common)
+    _add_fleet_parser(subparsers)
     _add_cache_parser(subparsers)
     _add_bench_parser(subparsers)
     _add_serve_parser(subparsers)
@@ -274,6 +383,7 @@ def _add_serve_parser(subparsers) -> None:
             "persist in the shared on-disk store.  See docs/SERVE.md."
         ),
     )
+    serve.set_defaults(handler=_run_serve)
     serve.add_argument(
         "--host",
         default="127.0.0.1",
@@ -287,13 +397,7 @@ def _add_serve_parser(subparsers) -> None:
         metavar="PORT",
         help="port to listen on; 0 picks an ephemeral port (default 8357)",
     )
-    serve.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="result-store directory (default: $REPRO_CACHE_DIR or "
-        "~/.cache/repro-hatric)",
-    )
+    _add_store_dir(serve)
     serve.add_argument(
         "--workers",
         type=int,
@@ -318,6 +422,7 @@ def _add_loadtest_parser(subparsers) -> None:
             "targets a live one."
         ),
     )
+    loadtest.set_defaults(handler=_run_loadtest)
     loadtest.add_argument(
         "--clients",
         type=int,
@@ -427,27 +532,17 @@ def _add_loadtest_parser(subparsers) -> None:
         action="store_true",
         help="skip the bit-identity re-execution of distinct requests",
     )
-    loadtest.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the report as JSON instead of the text table",
-    )
-    loadtest.add_argument(
-        "--output",
-        default=None,
-        metavar="FILE",
-        help="also write the report to FILE (e.g. LOAD_9.txt)",
-    )
+    _add_json_output(loadtest)
 
 
-def _add_hunt_parser(subparsers, common: argparse.ArgumentParser) -> None:
-    from repro.search import DEFAULT_OBJECTIVE, OBJECTIVES
+def _add_hunt_parser(subparsers) -> None:
+    from repro.search import DEFAULT_OBJECTIVE, OBJECTIVES, HuntSettings
 
     hunt = subparsers.add_parser(
-        "hunt",
-        parents=[common],
-        help="adversarial scenario search under the invariant oracle",
+        "hunt", help="adversarial scenario search under the invariant oracle"
     )
+    hunt.set_defaults(handler=_run_hunt)
+    _add_common(hunt)
     hunt.add_argument(
         "--budget", type=int, default=50, metavar="N",
         help="unique candidate evaluations before stopping (default 50)",
@@ -462,12 +557,7 @@ def _add_hunt_parser(subparsers, common: argparse.ArgumentParser) -> None:
         choices=tuple(OBJECTIVES),
         help="protocol gap to optimize (default: %(default)s)",
     )
-    hunt.add_argument(
-        "--protocols",
-        default="software,hatric,ideal",
-        metavar="P1,P2,...",
-        help="protocols simulated per candidate (default: %(default)s)",
-    )
+    _add_protocols(hunt, HuntSettings.protocols)
     hunt.add_argument(
         "--num-cpus", type=int, default=8, metavar="N",
         help="pCPU count of the hunted machine (default 8)",
@@ -492,22 +582,21 @@ def _add_hunt_parser(subparsers, common: argparse.ArgumentParser) -> None:
         "--corpus", default=None, metavar="PATH",
         help="also write the frontier as a scenario-corpus JSON to PATH",
     )
-    hunt.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the on-disk result cache (on by default here)",
-    )
+    _add_no_cache(hunt)
 
 
-def _hunt_session(args: argparse.Namespace) -> Session:
-    # Hunts default to the persistent cache *with* checkpoints: re-runs
-    # resolve from disk (a seeded hunt replays the identical request
-    # sequence) and neighboring candidates reuse checkpoint families.
+def _cached_session(args: argparse.Namespace, checkpoints: bool = False) -> Session:
+    # Hunts and scenario runs default to the persistent cache, so
+    # re-running the same command is answered from disk (a seeded hunt
+    # replays the identical request sequence, and with checkpoints its
+    # neighboring candidates reuse checkpoint families).  --no-cache
+    # always wins, including over an explicit --cache-dir.
     if args.no_cache:
         return Session(max_workers=args.jobs)
     return Session(
         cache_dir=args.cache_dir or True,
         max_workers=args.jobs,
-        checkpoints=True,
+        checkpoints=checkpoints,
     )
 
 
@@ -520,12 +609,11 @@ def _run_hunt(args: argparse.Namespace) -> tuple[str, int]:
         run_hunt,
     )
 
-    protocols = tuple(p.strip() for p in args.protocols.split(",") if p.strip())
     settings = HuntSettings(
         objective=args.objective,
         budget=args.budget,
         seed=args.seed,
-        protocols=protocols,
+        protocols=args.protocols,
         num_cpus=args.num_cpus,
         refs_total=args.refs,
         population=args.population,
@@ -534,38 +622,43 @@ def _run_hunt(args: argparse.Namespace) -> tuple[str, int]:
     )
     if args.scale is not None:
         settings = settings.scaled(args.scale)
-    session = _hunt_session(args)
+    session = _cached_session(args, checkpoints=True)
     try:
         result = run_hunt(settings, session)
     except HuntViolationError as error:
-        if args.json:
-            payload = {
-                "ok": False,
-                "error": str(error),
-                "reproducer": error.reproducer,
-                "session": dataclasses.asdict(session.stats),
-            }
-            return json.dumps(payload, indent=2), 1
         lines = [
             f"VIOLATION {error.workload}: {violation}"
             for violation in error.violations
         ]
         lines.append("reproducer (hunt seed + RunRequest payloads):")
         lines.append(json.dumps(error.reproducer, indent=2))
-        return "\n".join(lines), 1
+        return experiment_output(
+            args.json,
+            lambda: {
+                "ok": False,
+                "error": str(error),
+                "reproducer": error.reproducer,
+                "session": dataclasses.asdict(session.stats),
+            },
+            lambda: "\n".join(lines),
+            ok=False,
+        )
     if args.corpus:
         with open(args.corpus, "w", encoding="utf-8") as handle:
             json.dump(corpus_from_result(result), handle, indent=2)
             handle.write("\n")
-    if args.json:
-        payload = result.to_dict()
-        payload["ok"] = True
-        payload["session"] = dataclasses.asdict(session.stats)
-        return json.dumps(payload, indent=2), 0
-    return format_hunt(result) + "\n" + _session_footer(session), 0
+    return experiment_output(
+        args.json,
+        lambda: {
+            **result.to_dict(),
+            "ok": True,
+            "session": dataclasses.asdict(session.stats),
+        },
+        lambda: format_hunt(result) + "\n" + _session_footer(session),
+    )
 
 
-def _add_fleet_parser(subparsers, common: argparse.ArgumentParser) -> None:
+def _add_fleet_parser(subparsers) -> None:
     from repro.experiments.fleet import (
         DEFAULT_FLEET_WORKLOAD,
         DEFAULT_INTENSITIES,
@@ -575,7 +668,6 @@ def _add_fleet_parser(subparsers, common: argparse.ArgumentParser) -> None:
 
     fleet = subparsers.add_parser(
         "fleet",
-        parents=[common],
         help="fleet-scale study: live migration between simulated hosts",
         description=(
             "Simulate a datacenter of identical hosts whose guests live-"
@@ -588,6 +680,8 @@ def _add_fleet_parser(subparsers, common: argparse.ArgumentParser) -> None:
             "The exit code reflects the fleet differential invariants."
         ),
     )
+    fleet.set_defaults(handler=_run_fleet)
+    _add_common(fleet)
     fleet.add_argument(
         "--hosts", type=int, default=2, metavar="N",
         help="number of simulated hosts (default 2)",
@@ -635,28 +729,18 @@ def _add_fleet_parser(subparsers, common: argparse.ArgumentParser) -> None:
     )
     fleet.add_argument(
         "--intensities",
+        type=_INTS,
         default=",".join(str(x) for x in DEFAULT_INTENSITIES),
         metavar="N1,N2,...",
         help=f"VMs migrated per wave, one fleet per value (default "
         f"{','.join(str(x) for x in DEFAULT_INTENSITIES)})",
     )
-    fleet.add_argument(
-        "--protocols",
-        default=",".join(FLEET_PROTOCOLS),
-        metavar="P1,P2,...",
-        help=f"protocols to compare (default: {','.join(FLEET_PROTOCOLS)})",
-    )
-    fleet.add_argument(
-        "--engine",
-        default=None,
-        choices=ENGINES,
-        help="simulation engine (default: REPRO_SIM_ENGINE or fast)",
-    )
+    _add_protocols(fleet, FLEET_PROTOCOLS)
+    _add_engine(fleet)
 
 
 def _run_fleet(args: argparse.Namespace) -> tuple[str, int]:
     from repro.experiments.fleet import format_fleet, run_fleet_experiment
-    from repro.experiments.output import experiment_output
 
     if args.scale is not None:
         raise ValueError(
@@ -674,12 +758,8 @@ def _run_fleet(args: argparse.Namespace) -> tuple[str, int]:
         epochs=args.epochs,
         epoch_refs=args.epoch_refs,
         storm_refs=args.storm_refs,
-        intensities=tuple(
-            int(x) for x in args.intensities.split(",") if x.strip()
-        ),
-        protocols=tuple(
-            p.strip() for p in args.protocols.split(",") if p.strip()
-        ),
+        intensities=args.intensities,
+        protocols=args.protocols,
         engine=args.engine or "",
         session=_session_from_args(args),
     )
@@ -691,17 +771,9 @@ def _run_fleet(args: argparse.Namespace) -> tuple[str, int]:
     )
 
 
-def _add_timeline_parser(subparsers, common: argparse.ArgumentParser) -> None:
-    from repro.experiments.timeline import (
-        DEFAULT_TIMELINE_REFS,
-        DEFAULT_TIMELINE_VCPUS,
-        DEFAULT_TIMELINE_WORKLOAD,
-        TIMELINE_PROTOCOLS,
-    )
-
+def _add_timeline_parser(subparsers) -> None:
     timeline = subparsers.add_parser(
         "timeline",
-        parents=[common],
         help="time-resolved protocol comparison (interval telemetry)",
         description=(
             "Run one workload under several translation coherence "
@@ -712,40 +784,9 @@ def _add_timeline_parser(subparsers, common: argparse.ArgumentParser) -> None:
             "multi: composed names give consolidated timelines."
         ),
     )
-    timeline.add_argument(
-        "--workload",
-        default=DEFAULT_TIMELINE_WORKLOAD,
-        metavar="NAME",
-        help=f"workload to trace (default {DEFAULT_TIMELINE_WORKLOAD!r}; "
-        f"suite, mixNN, syn:, multi: and prefix: names all work)",
-    )
-    timeline.add_argument(
-        "--protocols",
-        default=",".join(TIMELINE_PROTOCOLS),
-        metavar="P1,P2,...",
-        help=f"protocols to compare (default: {','.join(TIMELINE_PROTOCOLS)})",
-    )
-    timeline.add_argument(
-        "--num-cpus",
-        type=int,
-        default=DEFAULT_TIMELINE_VCPUS,
-        metavar="N",
-        help=f"vCPU count (default {DEFAULT_TIMELINE_VCPUS})",
-    )
-    timeline.add_argument(
-        "--refs",
-        type=int,
-        default=DEFAULT_TIMELINE_REFS,
-        metavar="N",
-        help=f"total references (default {DEFAULT_TIMELINE_REFS})",
-    )
-    timeline.add_argument(
-        "--intervals",
-        type=int,
-        default=16,
-        metavar="N",
-        help="approximate number of telemetry intervals (default 16)",
-    )
+    timeline.set_defaults(handler=_run_timeline)
+    _add_common(timeline)
+    _add_timeline_options(timeline)
     timeline.add_argument(
         "--chart",
         action="store_true",
@@ -755,7 +796,6 @@ def _add_timeline_parser(subparsers, common: argparse.ArgumentParser) -> None:
 
 
 def _run_timeline(args: argparse.Namespace) -> tuple[str, int]:
-    from repro.experiments.output import experiment_output
     from repro.experiments.timeline import (
         format_timeline,
         format_timeline_chart,
@@ -764,9 +804,7 @@ def _run_timeline(args: argparse.Namespace) -> tuple[str, int]:
 
     result = run_timeline(
         workload=args.workload,
-        protocols=tuple(
-            p.strip() for p in args.protocols.split(",") if p.strip()
-        ),
+        protocols=args.protocols,
         num_cpus=args.num_cpus,
         refs_total=args.refs,
         intervals=args.intervals,
@@ -779,17 +817,9 @@ def _run_timeline(args: argparse.Namespace) -> tuple[str, int]:
     )
 
 
-def _add_profile_parser(subparsers, common: argparse.ArgumentParser) -> None:
-    from repro.experiments.timeline import (
-        DEFAULT_TIMELINE_REFS,
-        DEFAULT_TIMELINE_VCPUS,
-        DEFAULT_TIMELINE_WORKLOAD,
-        TIMELINE_PROTOCOLS,
-    )
-
+def _add_profile_parser(subparsers) -> None:
     profile = subparsers.add_parser(
         "profile",
-        parents=[common],
         help="per-component cycle/energy attribution report",
         description=(
             "Run one workload under several protocols and report where "
@@ -803,51 +833,17 @@ def _add_profile_parser(subparsers, common: argparse.ArgumentParser) -> None:
             "request shapes (and hence cached results) with timeline."
         ),
     )
-    profile.add_argument(
-        "--workload",
-        default=DEFAULT_TIMELINE_WORKLOAD,
-        metavar="NAME",
-        help=f"workload to profile (default {DEFAULT_TIMELINE_WORKLOAD!r}; "
-        f"suite, mixNN, syn:, multi: and prefix: names all work)",
-    )
-    profile.add_argument(
-        "--protocols",
-        default=",".join(TIMELINE_PROTOCOLS),
-        metavar="P1,P2,...",
-        help=f"protocols to compare (default: {','.join(TIMELINE_PROTOCOLS)})",
-    )
-    profile.add_argument(
-        "--num-cpus",
-        type=int,
-        default=DEFAULT_TIMELINE_VCPUS,
-        metavar="N",
-        help=f"vCPU count (default {DEFAULT_TIMELINE_VCPUS})",
-    )
-    profile.add_argument(
-        "--refs",
-        type=int,
-        default=DEFAULT_TIMELINE_REFS,
-        metavar="N",
-        help=f"total references (default {DEFAULT_TIMELINE_REFS})",
-    )
-    profile.add_argument(
-        "--intervals",
-        type=int,
-        default=16,
-        metavar="N",
-        help="approximate number of telemetry intervals (default 16)",
-    )
+    profile.set_defaults(handler=_run_profile)
+    _add_common(profile)
+    _add_timeline_options(profile)
 
 
 def _run_profile(args: argparse.Namespace) -> tuple[str, int]:
-    from repro.experiments.output import experiment_output
     from repro.experiments.profile import format_profile, run_profile
 
     result = run_profile(
         workload=args.workload,
-        protocols=tuple(
-            p.strip() for p in args.protocols.split(",") if p.strip()
-        ),
+        protocols=args.protocols,
         num_cpus=args.num_cpus,
         refs_total=args.refs,
         intervals=args.intervals,
@@ -859,10 +855,9 @@ def _run_profile(args: argparse.Namespace) -> tuple[str, int]:
     )
 
 
-def _add_run_parser(subparsers, common: argparse.ArgumentParser) -> None:
+def _add_run_parser(subparsers) -> None:
     run = subparsers.add_parser(
         "run",
-        parents=[common],
         help="run one workload/protocol and print its summary",
         description=(
             "Execute a single simulation through the session (so the "
@@ -874,6 +869,8 @@ def _add_run_parser(subparsers, common: argparse.ArgumentParser) -> None:
             "off."
         ),
     )
+    run.set_defaults(handler=_run_run)
+    _add_common(run)
     run.add_argument(
         "--workload",
         default="syn:migration-daemon/addr=zipf/seed=7",
@@ -887,12 +884,7 @@ def _add_run_parser(subparsers, common: argparse.ArgumentParser) -> None:
         metavar="P",
         help="translation coherence protocol (default hatric)",
     )
-    run.add_argument(
-        "--engine",
-        default=None,
-        choices=ENGINES,
-        help="execution engine (default: REPRO_SIM_ENGINE or fast)",
-    )
+    _add_engine(run)
     run.add_argument(
         "--num-cpus",
         type=int,
@@ -921,8 +913,6 @@ def _run_run(args: argparse.Namespace) -> tuple[str, int]:
     import hashlib
 
     from repro.api.request import RunRequest
-    from repro.experiments.output import experiment_output
-    from repro.experiments.runner import baseline_config
     from repro.sim.engine import result_fingerprint
 
     session = _session_from_args(args)
@@ -995,6 +985,7 @@ def _add_trace_parser(subparsers) -> None:
             "chrome://tracing and Perfetto load directly."
         ),
     )
+    export.set_defaults(handler=_run_trace_export)
     export.add_argument(
         "trace_file", metavar="TRACE", help="JSONL trace written via REPRO_TRACE"
     )
@@ -1009,31 +1000,26 @@ def _add_trace_parser(subparsers) -> None:
             "name with its occurrence count and summed duration."
         ),
     )
+    summary.set_defaults(handler=_run_trace_summary)
     summary.add_argument(
         "trace_file", metavar="TRACE", help="JSONL trace written via REPRO_TRACE"
     )
 
 
-def _run_trace(args: argparse.Namespace) -> tuple[str, int]:
-    from repro.obs.trace import (
-        export_chrome,
-        load_events,
-        summarize_events,
-        validate_events,
+def _run_trace_export(args: argparse.Namespace) -> tuple[str, int]:
+    from repro.obs.trace import export_chrome
+
+    count = export_chrome(args.trace_file, args.chrome_file)
+    return (
+        f"wrote {args.chrome_file}: {count} events (Chrome trace_event format)",
+        0,
     )
 
-    try:
-        if args.trace_command == "export":
-            count = export_chrome(args.trace_file, args.chrome_file)
-            return (
-                f"wrote {args.chrome_file}: {count} events "
-                f"(Chrome trace_event format)",
-                0,
-            )
-        # trace_command == "summary"
-        events = load_events(args.trace_file)
-    except OSError as error:
-        raise ValueError(error) from error
+
+def _run_trace_summary(args: argparse.Namespace) -> tuple[str, int]:
+    from repro.obs.trace import load_events, summarize_events, validate_events
+
+    events = load_events(args.trace_file)
     validate_events(events)
     summary = summarize_events(events)
     lines = [f"trace: {args.trace_file} ({summary['events']} events)"]
@@ -1056,17 +1042,11 @@ def _add_cache_parser(subparsers) -> None:
             "checkpoints/ subdirectory."
         ),
     )
-    cache.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="cache directory (default: $REPRO_CACHE_DIR or "
-        "~/.cache/repro-hatric)",
-    )
+    _add_store_dir(cache)
     commands = cache.add_subparsers(dest="cache_command", required=True)
     commands.add_parser(
         "info", help="show cache location and entry counts"
-    )
+    ).set_defaults(handler=_run_cache_info)
     prune = commands.add_parser(
         "prune",
         help="delete stale-version and undecodable entries",
@@ -1080,6 +1060,7 @@ def _add_cache_parser(subparsers) -> None:
             "deletes in-flight work."
         ),
     )
+    prune.set_defaults(handler=_run_cache_prune)
     prune.add_argument(
         "--min-age",
         type=float,
@@ -1090,28 +1071,30 @@ def _add_cache_parser(subparsers) -> None:
     )
 
 
-def _run_cache(args: argparse.Namespace) -> tuple[str, int]:
+def _store_session(args: argparse.Namespace) -> Session:
     # A session owns both stores (results + checkpoints/ subdirectory),
     # so the CLI maintains exactly what sessions read and write.
-    session = Session(cache_dir=args.cache_dir or True, checkpoints=True)
-    results = session.disk_cache
-    checkpoints = session.checkpoint_store
-    if args.cache_command == "info":
-        # The same canonical metric names the serve layer exports on
-        # /stats and /metrics, so counters never drift between surfaces.
-        from repro.obs.metrics import STORE_METRIC_HELP, store_snapshot
+    return Session(cache_dir=args.cache_dir or True, checkpoints=True)
 
-        snapshot = store_snapshot(results, checkpoints)
-        lines = [f"cache directory: {results.directory}"]
-        width = max(len(name) for name in STORE_METRIC_HELP)
-        for name, help_text in STORE_METRIC_HELP.items():
-            lines.append(
-                f"  {name:<{width}}  {snapshot[name]:<10}  {help_text}"
-            )
-        return "\n".join(lines), 0
-    # cache_command == "prune"
+
+def _run_cache_info(args: argparse.Namespace) -> tuple[str, int]:
+    # The same canonical metric names the serve layer exports on
+    # /stats and /metrics, so counters never drift between surfaces.
+    from repro.obs.metrics import STORE_METRIC_HELP, store_snapshot
+
+    session = _store_session(args)
+    snapshot = store_snapshot(session.disk_cache, session.checkpoint_store)
+    lines = [f"cache directory: {session.disk_cache.directory}"]
+    width = max(len(name) for name in STORE_METRIC_HELP)
+    for name, help_text in STORE_METRIC_HELP.items():
+        lines.append(f"  {name:<{width}}  {snapshot[name]:<10}  {help_text}")
+    return "\n".join(lines), 0
+
+
+def _run_cache_prune(args: argparse.Namespace) -> tuple[str, int]:
+    session = _store_session(args)
     pruned = session.prune(min_age_seconds=args.min_age)
-    lines = [f"cache directory: {results.directory}"]
+    lines = [f"cache directory: {session.disk_cache.directory}"]
     for section in ("results", "checkpoints"):
         stats = pruned[section]
         line = f"{section}: removed {stats.removed} stale, kept {stats.kept}"
@@ -1122,12 +1105,11 @@ def _run_cache(args: argparse.Namespace) -> tuple[str, int]:
     return "\n".join(lines), status
 
 
-def _add_consolidation_parser(subparsers, common: argparse.ArgumentParser) -> None:
+def _add_consolidation_parser(subparsers) -> None:
     from repro.experiments.consolidation import CONSOLIDATION_PROTOCOLS
 
     consolidation = subparsers.add_parser(
         "consolidation",
-        parents=[common],
         help="multi-VM consolidation study (protocol x guests x sharing)",
         description=(
             "Consolidate N copies of a tenant workload onto one machine "
@@ -1137,26 +1119,24 @@ def _add_consolidation_parser(subparsers, common: argparse.ArgumentParser) -> No
             "reflects the invariant verdict."
         ),
     )
+    consolidation.set_defaults(handler=_run_consolidation)
+    _add_common(consolidation)
     consolidation.add_argument(
         "--guests",
+        type=_INTS,
         default="1,2",
         metavar="N1,N2,...",
         help="guest counts to sweep (default 1,2)",
     )
     consolidation.add_argument(
         "--sharing",
+        type=_NAMES,
         default="pinned,shared",
         metavar="M1,M2,...",
         help="vCPU placement models: pinned (dedicated pCPU blocks) "
         "and/or shared (guests oversubscribe every pCPU)",
     )
-    consolidation.add_argument(
-        "--protocols",
-        default=",".join(CONSOLIDATION_PROTOCOLS),
-        metavar="P1,P2,...",
-        help=f"protocols to compare (default: "
-        f"{','.join(CONSOLIDATION_PROTOCOLS)})",
-    )
+    _add_protocols(consolidation, CONSOLIDATION_PROTOCOLS)
     consolidation.add_argument(
         "--guest-workload",
         default=None,
@@ -1194,18 +1174,10 @@ def _run_consolidation(args: argparse.Namespace) -> tuple[str, int]:
         run_consolidation,
     )
 
-    from repro.experiments.output import experiment_output
-
     result = run_consolidation(
-        guest_counts=tuple(
-            int(g) for g in args.guests.split(",") if g.strip()
-        ),
-        sharing_models=tuple(
-            s.strip() for s in args.sharing.split(",") if s.strip()
-        ),
-        protocols=tuple(
-            p.strip() for p in args.protocols.split(",") if p.strip()
-        ),
+        guest_counts=args.guests,
+        sharing_models=args.sharing,
+        protocols=args.protocols,
         guest_workload=args.guest_workload,
         num_cpus=args.num_cpus,
         seed=args.seed,
@@ -1238,14 +1210,17 @@ def _add_bench_parser(subparsers) -> None:
             "docs/PERFORMANCE.md for how to read the output."
         ),
     )
+    bench.set_defaults(handler=_run_bench)
     bench.add_argument(
         "--workloads",
+        type=_NAMES,
         default=None,
         metavar="A,B,...",
         help="comma-separated workload names (default: the bench suite)",
     )
     bench.add_argument(
         "--scenarios",
+        type=_NAMES,
         default=None,
         metavar="S1,S2,...",
         help="comma-separated syn: scenario names (default: three families; "
@@ -1290,8 +1265,11 @@ def _add_bench_parser(subparsers) -> None:
     bench.add_argument(
         "--json", action="store_true", help="print JSON instead of a table"
     )
+    # Not the printed text: the JSON payload, whatever --json says.  Its
+    # own dest keeps main()'s generic --output writer away from it.
     bench.add_argument(
         "--output",
+        dest="payload_path",
         default=None,
         metavar="PATH",
         help="also write the JSON payload to PATH (the BENCH_<tag>.json "
@@ -1318,20 +1296,14 @@ def _run_bench(args: argparse.Namespace) -> tuple[str, int]:
         run_bench,
     )
 
-    workloads: Sequence[str] = DEFAULT_WORKLOADS
-    if args.workloads is not None:
-        workloads = tuple(
-            w.strip() for w in args.workloads.split(",") if w.strip()
-        )
-    scenarios: Sequence[str] = DEFAULT_SCENARIOS
-    if args.scenarios is not None:
-        scenarios = tuple(
-            s.strip() for s in args.scenarios.split(",") if s.strip()
-        )
     report = run_bench(
         cases=default_cases(
-            workloads=workloads,
-            scenarios=scenarios,
+            workloads=(
+                DEFAULT_WORKLOADS if args.workloads is None else args.workloads
+            ),
+            scenarios=(
+                DEFAULT_SCENARIOS if args.scenarios is None else args.scenarios
+            ),
             num_cpus=args.num_cpus,
             protocol=args.protocol,
         ),
@@ -1341,12 +1313,16 @@ def _run_bench(args: argparse.Namespace) -> tuple[str, int]:
         incremental=not args.no_incremental,
     )
     payload = bench_payload(report)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
+    if args.payload_path:
+        with open(args.payload_path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
-    text = json.dumps(payload, indent=2) if args.json else format_bench(report)
-    status = 0 if report.all_identical else 1
+    text, status = experiment_output(
+        args.json,
+        lambda: payload,
+        lambda: format_bench(report),
+        ok=report.all_identical,
+    )
     if args.baseline:
         with open(args.baseline, "r", encoding="utf-8") as handle:
             baseline = json.load(handle)
@@ -1361,108 +1337,85 @@ def _run_bench(args: argparse.Namespace) -> tuple[str, int]:
     return text, status
 
 
-def _add_scenario_parser(subparsers, common: argparse.ArgumentParser) -> None:
-    scenario = subparsers.add_parser(
-        "scenario", help="generate and run synthetic hypervisor scenarios"
-    )
-    commands = scenario.add_subparsers(dest="scenario_command", required=True)
-
-    spec_opts = argparse.ArgumentParser(add_help=False)
-    spec_opts.add_argument(
+def _add_spec_options(parser: argparse.ArgumentParser) -> None:
+    """The scenario-spec options of ``scenario generate/run/diff``."""
+    parser.add_argument(
         "--family",
+        type=_NAMES,
         default=None,
         metavar="A,B,...",
         help="scenario families (default: all); see 'scenario list'",
     )
-    spec_opts.add_argument(
+    parser.add_argument(
         "--scenario",
         action="append",
         default=[],
         metavar="syn:...",
         help="explicit canonical scenario name; repeatable",
     )
-    spec_opts.add_argument(
+    parser.add_argument(
         "--seed", type=int, default=0, metavar="N", help="scenario seed"
     )
-    spec_opts.add_argument(
+    parser.add_argument(
         "--address", default=None, choices=sorted(ADDRESS_MODELS),
         help="override the family's address-stream model",
     )
-    spec_opts.add_argument(
+    parser.add_argument(
         "--sharing", default=None, choices=SHARING_MODELS,
         help="vCPU placement model",
     )
-    spec_opts.add_argument(
+    parser.add_argument(
         "--vcpus", type=int, default=None, metavar="N",
         help="vCPU count (default: the machine's 16)",
     )
-    spec_opts.add_argument(
+    parser.add_argument(
         "--refs", type=int, default=None, metavar="N",
         help="total references across vCPUs",
     )
-    spec_opts.add_argument(
+    parser.add_argument(
         "--footprint", type=int, default=None, metavar="PAGES",
         help="scenario footprint in pages",
     )
 
+
+def _add_scenario_parser(subparsers) -> None:
+    scenario = subparsers.add_parser(
+        "scenario", help="generate and run synthetic hypervisor scenarios"
+    )
+    commands = scenario.add_subparsers(dest="scenario_command", required=True)
+
     commands.add_parser(
         "list", help="list scenario families and component models"
-    )
+    ).set_defaults(handler=_run_scenario_list)
 
     generate = commands.add_parser(
-        "generate", parents=[spec_opts],
-        help="generate a trace and print its summary (no simulation)",
+        "generate", help="generate a trace and print its summary (no simulation)"
     )
-    generate.add_argument(
-        "--json", action="store_true", help="print JSON instead of a table"
-    )
-    generate.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="also write the printed output to PATH",
-    )
+    generate.set_defaults(handler=_run_scenario_generate)
+    _add_spec_options(generate)
+    _add_json_output(generate)
 
     run = commands.add_parser(
-        "run", parents=[common, spec_opts],
-        help="sweep protocol x scenario and validate invariants",
+        "run", help="sweep protocol x scenario and validate invariants"
     )
-    run.add_argument(
-        "--protocols",
-        default=",".join(SCENARIO_PROTOCOLS),
-        metavar="P1,P2,...",
-        help=f"protocols to compare (default: {','.join(SCENARIO_PROTOCOLS)})",
-    )
-    run.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the on-disk result cache (on by default here)",
-    )
+    run.set_defaults(handler=_run_scenario_run)
+    _add_common(run)
+    _add_spec_options(run)
+    _add_protocols(run, SCENARIO_PROTOCOLS)
+    _add_no_cache(run)
 
     diff = commands.add_parser(
-        "diff", parents=[common, spec_opts],
-        help="differential invariant check over a seed matrix",
+        "diff", help="differential invariant check over a seed matrix"
     )
+    diff.set_defaults(handler=_run_scenario_diff)
+    _add_common(diff)
+    _add_spec_options(diff)
+    _add_protocols(diff, SCENARIO_PROTOCOLS)
     diff.add_argument(
-        "--protocols",
-        default=",".join(SCENARIO_PROTOCOLS),
-        metavar="P1,P2,...",
-        help=f"protocols to compare (default: {','.join(SCENARIO_PROTOCOLS)})",
-    )
-    diff.add_argument(
-        "--seeds", default="0,1,2,3", metavar="S1,S2,...",
+        "--seeds", type=_INTS, default="0,1,2,3", metavar="S1,S2,...",
         help="seed matrix: one scenario per (family, seed) pair",
     )
-    diff.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the on-disk result cache (on by default here)",
-    )
-
-
-def _emit(text: str, output: Optional[str]) -> None:
-    print(text)
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+    _add_no_cache(diff)
 
 
 def _session_from_args(args: argparse.Namespace) -> Session:
@@ -1475,7 +1428,7 @@ def _scale_from_args(args: argparse.Namespace) -> Optional[ExperimentScale]:
     return ExperimentScale(trace_scale=args.scale)
 
 
-def _run_list() -> str:
+def _run_list(args: argparse.Namespace) -> tuple[str, int]:
     lines = ["figures:"]
     width = max(len(name) for name in FIGURES)
     for name, spec in FIGURES.items():
@@ -1496,10 +1449,11 @@ def _run_list() -> str:
         "  prefix:REFS:WL (prefix-stable trace capped at REFS total "
         "references; what checkpointed refs sweeps reuse across)"
     )
-    return "\n".join(lines)
+    return "\n".join(lines), 0
 
 
-def _run_figure(name: str, args: argparse.Namespace) -> str:
+def _run_figure(args: argparse.Namespace) -> tuple[str, int]:
+    name = args.figure
     spec = FIGURES[name]
     kwargs: dict[str, Any] = {"session": _session_from_args(args)}
     if "scale" in spec.params:
@@ -1509,9 +1463,7 @@ def _run_figure(name: str, args: argparse.Namespace) -> str:
             f"{name} does not take --scale (it runs no workload trace)"
         )
     if "workloads" in spec.params and args.workloads:
-        kwargs["workloads"] = tuple(
-            w.strip() for w in args.workloads.split(",") if w.strip()
-        )
+        kwargs["workloads"] = args.workloads
     if "num_cpus" in spec.params and args.num_cpus is not None:
         kwargs["num_cpus"] = args.num_cpus
     if "mixes" in spec.params and args.mixes is not None:
@@ -1519,11 +1471,11 @@ def _run_figure(name: str, args: argparse.Namespace) -> str:
     if "apps_per_mix" in spec.params and args.apps_per_mix is not None:
         kwargs["apps_per_mix"] = args.apps_per_mix
     result = spec.run(**kwargs)
-    if args.json:
-        return json.dumps(
-            {"figure": name, "result": dataclasses.asdict(result)}, indent=2
-        )
-    return spec.fmt(result)
+    return experiment_output(
+        args.json,
+        lambda: {"figure": name, "result": dataclasses.asdict(result)},
+        lambda: spec.fmt(result),
+    )
 
 
 def _format_sweep_table(grid: SweepResult) -> str:
@@ -1534,29 +1486,21 @@ def _format_sweep_table(grid: SweepResult) -> str:
     )
     rows = []
     for cell in grid.cells:
-        row = [str(cell.coords[name]) for name in axis_names]
-        row.append(f"{cell.result.runtime_cycles}")
+        row = [cell.coords[name] for name in axis_names]
+        row.append(cell.result.runtime_cycles)
         if normalized:
             row.append(f"{cell.normalized_runtime:.4f}")
             row.append(f"{cell.normalized_energy:.4f}")
         rows.append(row)
-    widths = [
-        max(len(column), max((len(r[i]) for r in rows), default=0))
-        for i, column in enumerate(columns)
-    ]
-    header = "  ".join(c.ljust(w) for c, w in zip(columns, widths))
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
-    return "\n".join(lines)
+    return render_table(columns, rows, aligns=["left"] * len(columns))
 
 
-def _run_sweep(args: argparse.Namespace) -> str:
+def _run_sweep(args: argparse.Namespace) -> tuple[str, int]:
     axes: dict[str, tuple] = {}
     for raw in args.axis:
         name, sep, values = raw.partition("=")
         if not sep or not name or not values:
-            raise SystemExit(f"error: --axis expects NAME=V1,V2,..., got {raw!r}")
+            raise ValueError(f"--axis expects NAME=V1,V2,..., got {raw!r}")
         axes[name] = tuple(
             _parse_axis_value(v.strip()) for v in values.split(",") if v.strip()
         )
@@ -1568,9 +1512,9 @@ def _run_sweep(args: argparse.Namespace) -> str:
     if overrides:
         sweep = sweep.normalize_to(**overrides)
     grid = sweep.run(session=_session_from_args(args), scale=_scale_from_args(args))
-    if args.json:
-        return json.dumps(grid.to_dict(), indent=2)
-    return _format_sweep_table(grid)
+    return experiment_output(
+        args.json, grid.to_dict, lambda: _format_sweep_table(grid)
+    )
 
 
 def _scenario_overrides(args: argparse.Namespace) -> dict[str, Any]:
@@ -1590,22 +1534,10 @@ def _scenario_overrides(args: argparse.Namespace) -> dict[str, Any]:
 
 def _scenario_families(args: argparse.Namespace) -> tuple[str, ...]:
     if args.family:
-        return tuple(f.strip() for f in args.family.split(",") if f.strip())
+        return args.family
     if args.scenario:
         return ()
     return SCENARIO_FAMILIES
-
-
-def _scenario_session(args: argparse.Namespace) -> Session:
-    # Scenario runs default to the persistent cache so re-running the
-    # same command is answered from disk instead of re-simulating.
-    # --no-cache always wins, including over an explicit --cache-dir.
-    cache_dir: Any
-    if args.no_cache:
-        cache_dir = None
-    else:
-        cache_dir = args.cache_dir or True
-    return Session(cache_dir=cache_dir, max_workers=args.jobs)
 
 
 def _session_footer(session: Session) -> str:
@@ -1616,92 +1548,91 @@ def _session_footer(session: Session) -> str:
     )
 
 
-def _run_scenario(args: argparse.Namespace) -> tuple[str, int]:
-    command = args.scenario_command
-    if command == "list":
-        from repro.workloads.synthetic import FAMILY_PRESETS
+def _run_scenario_list(args: argparse.Namespace) -> tuple[str, int]:
+    from repro.workloads.synthetic import FAMILY_PRESETS
 
-        lines = ["scenario families (remap-pattern models):"]
-        lines += [f"  {name}" for name in FAMILY_PRESETS]
-        lines.append("address models:   " + ", ".join(sorted(ADDRESS_MODELS)))
-        lines.append("sharing models:   " + ", ".join(SHARING_MODELS))
-        lines.append("protocols:        " + ", ".join(SCENARIO_PROTOCOLS))
-        lines.append(
-            "names: syn:FAMILY/key=value/... "
-            "(e.g. syn:migration-daemon/addr=zipf/seed=7)"
-        )
-        return "\n".join(lines), 0
-
-    overrides = _scenario_overrides(args)
-    if command == "generate":
-        names = [
-            scenario_spec(family, seed=args.seed, **overrides).name
-            for family in _scenario_families(args)
-        ] + list(args.scenario)
-        summaries = []
-        for name in names:
-            workload = make_workload(name)
-            trace = workload.generate(num_vcpus=args.vcpus or 16)
-            summaries.append(summarize_trace(trace))
-        if args.json:
-            return json.dumps(summaries, indent=2), 0
-        lines = []
-        for summary in summaries:
-            lines.append(summary["name"])
-            for key, value in summary.items():
-                if key != "name":
-                    lines.append(f"  {key}: {value}")
-        return "\n".join(lines), 0
-
-    protocols = tuple(
-        p.strip() for p in args.protocols.split(",") if p.strip()
+    lines = ["scenario families (remap-pattern models):"]
+    lines += [f"  {name}" for name in FAMILY_PRESETS]
+    lines.append("address models:   " + ", ".join(sorted(ADDRESS_MODELS)))
+    lines.append("sharing models:   " + ", ".join(SHARING_MODELS))
+    lines.append("protocols:        " + ", ".join(SCENARIO_PROTOCOLS))
+    lines.append(
+        "names: syn:FAMILY/key=value/... "
+        "(e.g. syn:migration-daemon/addr=zipf/seed=7)"
     )
-    session = _scenario_session(args)
-    scale = _scale_from_args(args)
+    return "\n".join(lines), 0
 
-    if command == "run":
-        result = run_scenarios(
-            families=_scenario_families(args),
-            protocols=protocols,
-            seed=args.seed,
-            scenarios=args.scenario,
-            scale=scale,
-            session=session,
-            **overrides,
-        )
-        if args.json:
-            payload = {
-                "cells": [dataclasses.asdict(cell) for cell in result.cells],
-                "violations": result.violations,
-                "ok": result.ok,
-                "session": dataclasses.asdict(session.stats),
-            }
-            return json.dumps(payload, indent=2), 0 if result.ok else 1
-        text = format_scenarios(result) + "\n" + _session_footer(session)
-        return text, 0 if result.ok else 1
 
-    # command == "diff"
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+def _run_scenario_generate(args: argparse.Namespace) -> tuple[str, int]:
+    overrides = _scenario_overrides(args)
+    names = [
+        scenario_spec(family, seed=args.seed, **overrides).name
+        for family in _scenario_families(args)
+    ] + list(args.scenario)
+    summaries = []
+    for name in names:
+        workload = make_workload(name)
+        trace = workload.generate(num_vcpus=args.vcpus or 16)
+        summaries.append(summarize_trace(trace))
+    if args.json:
+        return json.dumps(summaries, indent=2), 0
+    lines = []
+    for summary in summaries:
+        lines.append(summary["name"])
+        for key, value in summary.items():
+            if key != "name":
+                lines.append(f"  {key}: {value}")
+    return "\n".join(lines), 0
+
+
+def _run_scenario_run(args: argparse.Namespace) -> tuple[str, int]:
+    session = _cached_session(args)
+    result = run_scenarios(
+        families=_scenario_families(args),
+        protocols=args.protocols,
+        seed=args.seed,
+        scenarios=args.scenario,
+        scale=_scale_from_args(args),
+        session=session,
+        **_scenario_overrides(args),
+    )
+    return experiment_output(
+        args.json,
+        lambda: {
+            "cells": [dataclasses.asdict(cell) for cell in result.cells],
+            "violations": result.violations,
+            "ok": result.ok,
+            "session": dataclasses.asdict(session.stats),
+        },
+        lambda: format_scenarios(result) + "\n" + _session_footer(session),
+        ok=result.ok,
+    )
+
+
+def _run_scenario_diff(args: argparse.Namespace) -> tuple[str, int]:
+    session = _cached_session(args)
+    overrides = _scenario_overrides(args)
     specs = [
         scenario_spec(family, seed=seed, **overrides)
         for family in _scenario_families(args)
-        for seed in seeds
+        for seed in args.seeds
     ]
     report = run_differential(
         specs + list(args.scenario),
-        protocols=protocols,
-        scale=scale,
+        protocols=args.protocols,
+        scale=_scale_from_args(args),
         session=session,
     )
-    if args.json:
-        payload = {
+    return experiment_output(
+        args.json,
+        lambda: {
             "protocols": list(report.protocols),
             "violations": report.violations,
             "ok": report.ok,
-        }
-        return json.dumps(payload, indent=2), 0 if report.ok else 1
-    text = format_differential(report) + "\n" + _session_footer(session)
-    return text, 0 if report.ok else 1
+        },
+        lambda: format_differential(report) + "\n" + _session_footer(session),
+        ok=report.ok,
+    )
 
 
 def _run_serve(args: argparse.Namespace) -> tuple[str, int]:
@@ -1740,7 +1671,6 @@ def _run_serve(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _run_loadtest(args: argparse.Namespace) -> tuple[str, int]:
-    from repro.experiments.output import experiment_output
     from repro.serve.loadtest import (
         DEFAULT_CONNECTION_LIMIT,
         LoadTestSettings,
@@ -1782,67 +1712,19 @@ def _run_loadtest(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    Runtime and write failures end in one ``error:`` line and exit
+    code 1; argparse exits 2 on usage errors before any handler runs.
+    """
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "list":
-            text = _run_list()
-            _emit(text, None)
-            return 0
-        if args.command == "scenario":
-            text, code = _run_scenario(args)
-            _emit(text, getattr(args, "output", None))
-            return code
-        if args.command == "consolidation":
-            text, code = _run_consolidation(args)
-            _emit(text, args.output)
-            return code
-        if args.command == "hunt":
-            text, code = _run_hunt(args)
-            _emit(text, args.output)
-            return code
-        if args.command == "bench":
-            text, code = _run_bench(args)
-            print(text)
-            return code
-        if args.command == "cache":
-            text, code = _run_cache(args)
-            _emit(text, None)
-            return code
-        if args.command == "serve":
-            text, code = _run_serve(args)
-            _emit(text, None)
-            return code
-        if args.command == "loadtest":
-            text, code = _run_loadtest(args)
-            _emit(text, args.output)
-            return code
-        if args.command == "timeline":
-            text, code = _run_timeline(args)
-            _emit(text, args.output)
-            return code
-        if args.command == "profile":
-            text, code = _run_profile(args)
-            _emit(text, args.output)
-            return code
-        if args.command == "run":
-            text, code = _run_run(args)
-            _emit(text, args.output)
-            return code
-        if args.command == "trace":
-            text, code = _run_trace(args)
-            _emit(text, None)
-            return code
-        if args.command == "fleet":
-            text, code = _run_fleet(args)
-            _emit(text, args.output)
-            return code
-        if args.command == "sweep":
-            text = _run_sweep(args)
-        else:
-            text = _run_figure(args.command, args)
-    except ValueError as error:
+        text, code = args.handler(args)
+        print(text)
+        if getattr(args, "output", None):
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+    except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    _emit(text, args.output)
-    return 0
+    return code

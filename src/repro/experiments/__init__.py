@@ -11,11 +11,8 @@ sharing configurations (notably the ``no-hbm`` baselines) reuse each
 other's runs; by default they share the process-global session.
 """
 
-from repro.experiments.runner import (
-    ExperimentScale,
-    baseline_config,
-    run_configuration,
-)
+from repro.api import ExperimentScale
+from repro.experiments.runner import baseline_config, run_configuration
 from repro.experiments.figure2 import run_figure2, format_figure2, sweep_figure2
 from repro.experiments.figure7 import run_figure7, format_figure7, sweep_figure7
 from repro.experiments.figure8 import run_figure8, format_figure8, sweep_figure8

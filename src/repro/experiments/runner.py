@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.api.scale import SCALE_ENV_VAR, ExperimentScale
+from repro.api.scale import ExperimentScale
 from repro.sim.config import (
     PLACEMENT_FAST_ONLY,
     PLACEMENT_PAGED,
@@ -24,9 +24,7 @@ from repro.workloads import make_workload
 from repro.workloads.base import MultiprogrammedWorkload, Workload
 
 __all__ = [
-    "ExperimentScale",
     "PAPER_WORKLOADS",
-    "SCALE_ENV_VAR",
     "baseline_config",
     "inf_hbm_config",
     "no_hbm_config",

@@ -27,6 +27,7 @@ from typing import Any, Optional, Sequence
 from repro.api.request import RunRequest
 from repro.api.scale import ExperimentScale
 from repro.api.session import Session, execute_request
+from repro.experiments.output import render_table
 from repro.sim.config import SystemConfig
 from repro.sim.engine import (
     ENGINE_FAST,
@@ -516,17 +517,7 @@ def format_bench(report: BenchReport) -> str:
         )
         for record in report.records
     ]
-    widths = [
-        max(len(headers[i]), max((len(row[i]) for row in rows), default=0))
-        for i in range(len(headers))
-    ]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)),
-    ]
-    lines.append("-" * len(lines[0]))
-    for row in rows:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
-    lines.append("")
+    lines = [render_table(headers, rows, aligns=["left"] * len(headers)), ""]
     lines.append(
         f"geomean speedup {report.geomean_speedup:.2f}x over "
         f"{len(report.records)} cases ({report.cases_at_least_2x} at >=2x), "

@@ -4,7 +4,7 @@ The corpus file (``tests/golden/hunt_corpus.json``) snapshots the worst
 cases a pinned hunt found, together with everything needed to replay
 them: the full hunt settings and, per entry, the workload name plus its
 recorded per-protocol runtimes and overhead ratios.  The regression
-suite re-simulates every entry (across all three engines, via
+suite re-simulates every entry (on both engines, via
 ``REPRO_VALIDATE_FASTPATH``) and checks the recorded protocol ordering
 and ratios within :data:`CORPUS_TOLERANCE`; :func:`corpus_requests`
 rebuilds an entry's exact :class:`~repro.api.request.RunRequest` list

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Optional
 
-from repro.api.request import RunRequest, config_from_dict
+from repro.api.request import RunRequest
 from repro.api.scale import ExperimentScale
 from repro.api.sweep import Sweep
+from repro.sim.config import config_from_dict
 from repro.workloads import make_workload
 
 #: Bodies larger than this are rejected with 413 before parsing.

@@ -13,15 +13,19 @@ from repro.api import (
     RunRequest,
     Session,
     Sweep,
-    config_from_dict,
-    config_to_dict,
     decode_result,
     encode_result,
     execute_request,
 )
 from repro.api.scale import SCALE_ENV_VAR
 from repro.experiments import run_figure2, run_figure7
-from repro.sim.config import PagingConfig, SystemConfig, TranslationConfig
+from repro.sim.config import (
+    PagingConfig,
+    SystemConfig,
+    TranslationConfig,
+    config_from_dict,
+    config_to_dict,
+)
 from repro.workloads import make_workload
 from repro.workloads.spec_mix import make_spec_mix
 

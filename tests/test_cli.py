@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
+import asyncio
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -12,42 +15,301 @@ from pathlib import Path
 import pytest
 
 from repro.api import ExperimentScale, Session
-from repro.cli import main
+from repro.cli import _build_parser, main
 from repro.experiments import run_figure7
+from repro.obs import trace as obs_trace
+from repro.serve import ServiceClient
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_module(*args: str) -> subprocess.CompletedProcess:
-    """Invoke ``python -m repro`` in a fresh interpreter."""
+def _module_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
+    return env
+
+
+def run_module(*args: str) -> subprocess.CompletedProcess:
+    """Invoke ``python -m repro`` in a fresh interpreter."""
     return subprocess.run(
         [sys.executable, "-m", "repro", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=_module_env(),
+    )
+
+
+TIMELINE_ARGS = [
+    "timeline",
+    "--workload",
+    "syn:migration-daemon/addr=zipf/seed=7",
+    "--protocols",
+    "software,hatric",
+    "--num-cpus",
+    "4",
+    "--refs",
+    "6000",
+    "--intervals",
+    "4",
+]
+
+HUNT_ARGS = [
+    "hunt", "--budget", "1", "--population", "1", "--num-cpus", "2",
+    "--refs", "2000", "--no-cache",
+]
+
+SERVE_ARGV = ["serve", "--port", "0", "--workers", "0", "--cache-dir", "{tmp}"]
+
+#: One row per handler the parser binds, at tiny shapes: (argv, exit
+#: code, markers the printed output contains).  ``{tmp}`` expands to the
+#: test's temp directory and ``{trace}`` to a JSONL file a traced
+#: ``run`` wrote.  ``serve`` blocks, so its own subprocess test covers it.
+SMOKE_ROWS = [
+    pytest.param(["list"], 0, ["figure2", "canneal"], id="list"),
+    pytest.param(
+        ["figure2", "--workloads", "facesim", "--num-cpus", "4", "--scale", "0.03"],
+        0,
+        ["facesim", "curr-best"],
+        id="figure2",
+    ),
+    pytest.param(
+        ["figure10", "--mixes", "1", "--apps-per-mix", "2", "--scale", "0.02"],
+        0,
+        ["mix00", "sw weighted"],
+        id="figure10-mixes",
+    ),
+    pytest.param(
+        ["anatomy", "--num-cpus", "2"],
+        0,
+        ["single page remap on a 2-CPU VM"],
+        id="anatomy",
+    ),
+    pytest.param(
+        ["sweep", "--axis", "protocol=software,hatric", "--axis",
+         "workload=facesim", "--num-cpus", "2", "--scale", "0.02",
+         "--normalize", "protocol=ideal"],
+        0,
+        ["normalized_runtime", "software  facesim"],
+        id="sweep",
+    ),
+    pytest.param(
+        ["consolidation", "--guests", "1", "--sharing", "pinned",
+         "--num-cpus", "2", "--scale", "0.02"],
+        0,
+        ["1 guest(s), pinned", "differential invariants: OK"],
+        id="consolidation",
+    ),
+    pytest.param(
+        ["scenario", "list"], 0, ["migration-daemon", "zipf"], id="scenario-list"
+    ),
+    pytest.param(
+        ["scenario", "generate", "--family", "steady", "--vcpus", "2",
+         "--refs", "2000"],
+        0,
+        ["syn:steady/vcpus=2/refs=2000", "total_references: 2000"],
+        id="scenario-generate",
+    ),
+    pytest.param(
+        ["scenario", "run", "--family", "steady", "--protocols",
+         "software,ideal", "--vcpus", "2", "--refs", "2000", "--no-cache"],
+        0,
+        ["differential invariants: OK", "session: 2 simulated"],
+        id="scenario-run",
+    ),
+    pytest.param(
+        ["scenario", "diff", "--family", "steady", "--seeds", "0",
+         "--protocols", "software,ideal", "--vcpus", "2", "--refs", "2000",
+         "--no-cache"],
+        0,
+        ["PASS  syn:steady", "all invariants hold"],
+        id="scenario-diff",
+    ),
+    pytest.param(
+        HUNT_ARGS, 0, ["hunt: 1 evaluations", "differential invariants: OK"],
+        id="hunt",
+    ),
+    pytest.param(
+        TIMELINE_ARGS,
+        0,
+        ["timeline: syn:migration-daemon", "software:", "hatric:", "coh.cycles"],
+        id="timeline",
+    ),
+    pytest.param(
+        ["profile", "--protocols", "software,hatric", "--num-cpus", "2",
+         "--refs", "2000", "--intervals", "2"],
+        0,
+        ["profile: syn:migration-daemon", "translation coherence"],
+        id="profile",
+    ),
+    pytest.param(
+        ["run", "--refs", "2000", "--num-cpus", "2"],
+        0,
+        ["runtime cycles:", "fingerprint:       sha256:"],
+        id="run",
+    ),
+    pytest.param(
+        ["trace", "summary", "{trace}"], 0, ["events)", "count="],
+        id="trace-summary",
+    ),
+    pytest.param(
+        ["trace", "export", "{trace}", "{tmp}/chrome.json"],
+        0,
+        ["Chrome trace_event format"],
+        id="trace-export",
+    ),
+    pytest.param(
+        # fleet rejects a single epoch
+        ["fleet", "--vms-per-host", "1", "--num-cpus", "2", "--epochs", "2",
+         "--epoch-refs", "64", "--storm-refs", "32", "--intensities", "1",
+         "--protocols", "software,ideal"],
+        0,
+        ["fleet: 2 hosts", "differential invariants: OK"],
+        id="fleet",
+    ),
+    pytest.param(
+        ["cache", "--cache-dir", "{tmp}", "info"], 0, ["store_entries"],
+        id="cache-info",
+    ),
+    pytest.param(
+        ["cache", "--cache-dir", "{tmp}", "prune", "--min-age", "0"],
+        0,
+        ["results: removed 0 stale"],
+        id="cache-prune",
+    ),
+    pytest.param(
+        # an empty --scenarios list skips the scenario cases
+        ["bench", "--workloads", "facesim", "--scenarios", "", "--repeats",
+         "1", "--scale", "0.02", "--num-cpus", "2", "--no-incremental"],
+        0,
+        ["facesim@2cpu/hatric", "over 1 cases", "results bit-identical"],
+        id="bench",
+    ),
+    pytest.param(
+        ["loadtest", "--clients", "2", "--requests", "1", "--scenarios", "1",
+         "--workers", "0", "--num-cpus", "2", "--refs", "2000", "--no-multi",
+         "--cache-dir", "{tmp}"],
+        0,
+        ["OK: dedup", "OK: bit-identity"],
+        id="loadtest",
+    ),
+]
+
+
+def _expand(argv, tmp_path, trace=None) -> list:
+    return [
+        arg.replace("{tmp}", str(tmp_path)).replace("{trace}", str(trace))
+        for arg in argv
+    ]
+
+
+@pytest.fixture
+def traced_run(tmp_path, monkeypatch):
+    """A JSONL trace written by one traced ``repro run``."""
+    path = tmp_path / "run.jsonl"
+    monkeypatch.setenv("REPRO_TRACE", str(path))
+    monkeypatch.delenv("_REPRO_TRACE_OWNER_PID", raising=False)
+    obs_trace.reset()
+    try:
+        assert main(["run", "--refs", "2000", "--num-cpus", "2"]) == 0
+    finally:
+        monkeypatch.delenv("REPRO_TRACE")
+        monkeypatch.delenv("_REPRO_TRACE_OWNER_PID", raising=False)
+        obs_trace.reset()
+    return path
+
+
+@pytest.mark.parametrize("argv, code, markers", SMOKE_ROWS)
+def test_smoke(argv, code, markers, tmp_path, capsys, request):
+    trace = request.getfixturevalue("traced_run") if "{trace}" in argv else None
+    capsys.readouterr()
+    assert main(_expand(argv, tmp_path, trace)) == code
+    out = capsys.readouterr().out
+    for marker in markers:
+        assert marker in out
+
+
+def _bound_handlers(parser: argparse.ArgumentParser) -> set:
+    handlers = {parser.get_default("handler")} - {None}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                handlers |= _bound_handlers(sub)
+    return handlers
+
+
+def test_smoke_rows_reach_every_handler(tmp_path):
+    parser = _build_parser()
+    argvs = [row.values[0] for row in SMOKE_ROWS] + [SERVE_ARGV]
+    reached = {
+        parser.parse_args(_expand(argv, tmp_path, "run.jsonl")).handler
+        for argv in argvs
+    }
+    assert reached == _bound_handlers(parser)
+
+
+def test_serve_listens_answers_and_stops_on_sigint(tmp_path):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", *_expand(SERVE_ARGV, tmp_path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_module_env(),
+    )
+    try:
+        # perfbench's serve-mixed workload parses this first line
+        line = proc.stdout.readline()
+        assert "listening on http://" in line, proc.stderr.read()
+        host, port = line.split("http://", 1)[1].split()[0].rsplit(":", 1)
+        status, _ = asyncio.run(ServiceClient(host, int(port)).get("/healthz"))
+        assert status == 200
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, err
+    assert "repro serve: stopped" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--refs", "2000", "--num-cpus", "2", "--output",
+         "{tmp}/missing/a.txt"],
+        HUNT_ARGS + ["--corpus", "{tmp}/missing/c.json"],
+    ],
+    ids=["output", "hunt-corpus"],
+)
+def test_write_failure_is_an_error_line(argv, tmp_path, capsys):
+    assert main(_expand(argv, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "missing" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["consolidation", "--guests", "x"],
+        ["scenario", "diff", "--seeds", "x"],
+        ["fleet", "--intensities", "x"],
+    ],
+    ids=lambda argv: argv[-2],
+)
+def test_malformed_int_list_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert (
+        f"argument {argv[-2]}: invalid int-list value: 'x'"
+        in capsys.readouterr().err
     )
 
 
 class TestCli:
-    def test_list(self, capsys):
-        assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "figure2" in out
-        assert "canneal" in out
-
-    def test_figure_table(self, capsys):
-        code = main(
-            ["figure2", "--workloads", "facesim", "--num-cpus", "4", "--scale", "0.03"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "facesim" in out
-        assert "curr-best" in out
-
     def test_figure_json_and_output_file(self, capsys, tmp_path):
         target = tmp_path / "figure2.json"
         code = main(
@@ -141,12 +403,6 @@ class TestCli:
         code = main(["sweep", "--axis", "bogus=1", "--axis", "workload=facesim"])
         assert code == 1
         assert "bogus" in capsys.readouterr().err
-
-    def test_scenario_list(self, capsys):
-        assert main(["scenario", "list"]) == 0
-        out = capsys.readouterr().out
-        assert "migration-daemon" in out
-        assert "zipf" in out
 
     def test_scenario_generate(self, capsys):
         code = main(
@@ -288,27 +544,7 @@ class TestCli:
 
 
 class TestTimelineCli:
-    ARGS = [
-        "timeline",
-        "--workload",
-        "syn:migration-daemon/addr=zipf/seed=7",
-        "--protocols",
-        "software,hatric",
-        "--num-cpus",
-        "4",
-        "--refs",
-        "6000",
-        "--intervals",
-        "4",
-    ]
-
-    def test_timeline_table(self, capsys):
-        assert main(self.ARGS) == 0
-        out = capsys.readouterr().out
-        assert "timeline: syn:migration-daemon" in out
-        assert "software:" in out
-        assert "hatric:" in out
-        assert "coh.cycles" in out
+    ARGS = TIMELINE_ARGS
 
     def test_timeline_json_is_conserved(self, capsys):
         assert main(self.ARGS + ["--json"]) == 0

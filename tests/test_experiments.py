@@ -31,8 +31,8 @@ from repro.experiments import (
     run_figure9,
     run_xen_study,
 )
+from repro.api import ExperimentScale
 from repro.experiments.runner import (
-    ExperimentScale,
     baseline_config,
     no_hbm_config,
     inf_hbm_config,

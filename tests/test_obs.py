@@ -8,7 +8,7 @@ Pins the layer's three load-bearing promises:
   result stays bit-identical to the untraced run (the fingerprint
   identity the CI ``obs`` job re-checks end to end).
 * **Conservation.**  Interval telemetry sums to final aggregates on
-  fleet runs across all three engines, and the serve layer's
+  fleet runs on both engines, and the serve layer's
   ``/metrics`` exposition agrees with the ``/stats`` JSON it mirrors.
 * **Attribution is arithmetic.**  Cycle attribution rows are exact
   functions of event counters and the cost model, and sparklines
