@@ -46,7 +46,6 @@ from repro.sim.engine import (
     ENGINE_REFERENCE,
     FastPathMismatchError,
     diff_fingerprints,
-    resolve_engine,
     result_fingerprint,
     validate_fastpath_requested,
 )
@@ -104,51 +103,32 @@ def execute_request(request: RunRequest, on_interval=None) -> AnyResult:
     stream live progress.  Observation only -- the returned result is
     identical with or without it.
 
-    When ``REPRO_VALIDATE_FASTPATH=1`` is set, every fast-engine trace
-    request is executed on *both* engines and the results are diffed;
-    any difference raises :class:`~repro.sim.engine.
-    FastPathMismatchError` instead of silently returning either result.
+    When ``REPRO_VALIDATE_FASTPATH=1`` is set, a fast-engine result is
+    checked against a reference-engine run before it is returned (see
+    :func:`_check_against_reference`).
     """
     if request.experiment == EXPERIMENT_REMAP:
         return single_remap_cost(request.config)
     tracer = active_tracer()
     start = tracer.now() if tracer else 0.0
     workload = make_workload(request.workload)
-    if (
-        validate_fastpath_requested()
-        and resolve_engine(request.engine or None) != ENGINE_REFERENCE
-    ):
-        result = _execute_validated(request, workload, on_interval)
-        if tracer:
-            tracer.complete(
-                "session.execute", "session", start,
-                key=request.cache_key, validated=True,
-            )
-        return result
     simulator = Simulator(request.config, engine=request.engine or None)
-    if tracer:
-        try:
-            return simulator.run(
-                workload,
-                warmup_fraction=request.warmup_fraction,
-                refs_total=request.refs_total,
-                warmup_refs=request.warmup_refs,
-                interval_refs=request.interval_refs,
-                on_interval=on_interval,
-            )
-        finally:
+    try:
+        result = simulator.run(
+            workload,
+            warmup_fraction=request.warmup_fraction,
+            refs_total=request.refs_total,
+            warmup_refs=request.warmup_refs,
+            interval_refs=request.interval_refs,
+            on_interval=on_interval,
+        )
+    finally:
+        if tracer:
             tracer.complete(
                 "session.execute", "session", start,
                 key=request.cache_key, engine=simulator.engine,
             )
-    return simulator.run(
-        workload,
-        warmup_fraction=request.warmup_fraction,
-        refs_total=request.refs_total,
-        warmup_refs=request.warmup_refs,
-        interval_refs=request.interval_refs,
-        on_interval=on_interval,
-    )
+    return _check_against_reference(request, result, simulator.engine)
 
 
 def execute_request_checkpointed(
@@ -172,13 +152,6 @@ def execute_request_checkpointed(
     if request.experiment == EXPERIMENT_REMAP:
         return single_remap_cost(request.config)
     workload = make_workload(request.workload)
-    if (
-        validate_fastpath_requested()
-        and resolve_engine(request.engine or None) != ENGINE_REFERENCE
-    ):
-        # validation mode runs both engines; checkpoints would only
-        # obscure which engine produced the state, so it stays cold.
-        return _execute_validated(request, workload)
     if request.warmup_refs is None and request.warmup_fraction > 0.0:
         # A fraction-based warmup boundary moves with refs_total, so no
         # *other* request can ever match this family's warmup vector
@@ -243,22 +216,25 @@ def execute_request_checkpointed(
 
     if restored is not None:
         CHECKPOINT_COUNTERS["restored"] += 1
-        return restored.resume(
+        simulator = restored.simulator
+        result = restored.resume(
             trace,
             checkpoint_refs=checkpoint_refs,
             on_checkpoint=on_checkpoint,
             verify_prefix=False,  # the candidate scan just digested it
         )
-    CHECKPOINT_COUNTERS["cold"] += 1
-    simulator = Simulator(request.config, engine=request.engine or None)
-    return simulator.run(
-        trace,
-        warmup_fraction=request.warmup_fraction,
-        warmup_refs=request.warmup_refs,
-        interval_refs=request.interval_refs,
-        checkpoint_refs=checkpoint_refs,
-        on_checkpoint=on_checkpoint,
-    )
+    else:
+        CHECKPOINT_COUNTERS["cold"] += 1
+        simulator = Simulator(request.config, engine=request.engine or None)
+        result = simulator.run(
+            trace,
+            warmup_fraction=request.warmup_fraction,
+            warmup_refs=request.warmup_refs,
+            interval_refs=request.interval_refs,
+            checkpoint_refs=checkpoint_refs,
+            on_checkpoint=on_checkpoint,
+        )
+    return _check_against_reference(request, result, simulator.engine)
 
 
 def _execute_chain(
@@ -278,29 +254,29 @@ def _execute_chain(
     ]
 
 
-def _execute_validated(
-    request: RunRequest, workload, on_interval=None
+def _check_against_reference(
+    request: RunRequest, result: SimulationResult, engine: str
 ) -> SimulationResult:
-    """Run a trace request on the reference and fast engines; require identity.
+    """Return ``result`` once the reference engine agrees with it.
 
-    ``on_interval`` streams from the reference run only -- interval
-    samples are engine-identical by contract, so subscribers must not
-    see each sample twice.
+    A no-op unless ``REPRO_VALIDATE_FASTPATH=1`` is set and ``engine``
+    (the engine that produced ``result``, cold or resumed from a
+    checkpoint) is the fast one.  Then the request runs again, cold, on
+    the reference engine, and any fingerprint difference raises
+    :class:`~repro.sim.engine.FastPathMismatchError` instead of
+    returning either result.
     """
-    results = {}
-    for engine in (ENGINE_REFERENCE, ENGINE_FAST):
-        simulator = Simulator(request.config, engine=engine)
-        results[engine] = simulator.run(
-            workload,
-            warmup_fraction=request.warmup_fraction,
-            refs_total=request.refs_total,
-            warmup_refs=request.warmup_refs,
-            interval_refs=request.interval_refs,
-            on_interval=on_interval if engine == ENGINE_REFERENCE else None,
-        )
+    if not validate_fastpath_requested() or engine != ENGINE_FAST:
+        return result
+    reference = Simulator(request.config, engine=ENGINE_REFERENCE).run(
+        make_workload(request.workload),
+        warmup_fraction=request.warmup_fraction,
+        refs_total=request.refs_total,
+        warmup_refs=request.warmup_refs,
+        interval_refs=request.interval_refs,
+    )
     differences = diff_fingerprints(
-        result_fingerprint(results[ENGINE_REFERENCE]),
-        result_fingerprint(results[ENGINE_FAST]),
+        result_fingerprint(reference), result_fingerprint(result)
     )
     if differences:
         details = "\n  ".join(differences[:20])
@@ -308,7 +284,7 @@ def _execute_validated(
             f"{ENGINE_FAST} engine diverged from the reference engine on "
             f"workload {request.workload!r}:\n  {details}"
         )
-    return results[ENGINE_FAST]
+    return result
 
 
 @dataclass

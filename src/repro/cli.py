@@ -1569,20 +1569,23 @@ def _run_scenario_generate(args: argparse.Namespace) -> tuple[str, int]:
         scenario_spec(family, seed=args.seed, **overrides).name
         for family in _scenario_families(args)
     ] + list(args.scenario)
-    summaries = []
-    for name in names:
-        workload = make_workload(name)
-        trace = workload.generate(num_vcpus=args.vcpus or 16)
-        summaries.append(summarize_trace(trace))
-    if args.json:
-        return json.dumps(summaries, indent=2), 0
-    lines = []
-    for summary in summaries:
-        lines.append(summary["name"])
-        for key, value in summary.items():
-            if key != "name":
-                lines.append(f"  {key}: {value}")
-    return "\n".join(lines), 0
+    summaries = [
+        summarize_trace(make_workload(name).generate(num_vcpus=args.vcpus or 16))
+        for name in names
+    ]
+
+    def table() -> str:
+        lines = []
+        for summary in summaries:
+            lines.append(summary["name"])
+            lines += [
+                f"  {key}: {value}"
+                for key, value in summary.items()
+                if key != "name"
+            ]
+        return "\n".join(lines)
+
+    return experiment_output(args.json, lambda: summaries, table)
 
 
 def _run_scenario_run(args: argparse.Namespace) -> tuple[str, int]:

@@ -85,15 +85,15 @@ def violations_footer(violations: Mapping[str, Sequence[str]]) -> list[str]:
 
 def experiment_output(
     as_json: bool,
-    payload: Callable[[], Mapping[str, Any]],
+    payload: Callable[[], Any],
     table: Callable[[], str],
     ok: bool = True,
 ) -> tuple[str, int]:
     """The ``--json``/table contract shared by experiment subcommands.
 
-    Returns ``(text, exit_code)``: the JSON payload (indent 2) when the
-    user asked for it, the formatted table otherwise, and exit code 0
-    only when the run's invariants held.  ``payload`` and ``table`` are
+    Returns ``(text, exit_code)``: the JSON payload (any JSON value,
+    indent 2) when the user asked for it, the formatted table otherwise,
+    and exit code 0 only when the run's invariants held.  ``payload`` and ``table`` are
     thunks so neither rendering is built unless chosen.
     """
     text = json.dumps(payload(), indent=2) if as_json else table()

@@ -13,7 +13,8 @@ Two entry points on top of :mod:`repro.workloads.synthetic`:
 
 The invariants make randomized scenarios a strong test oracle: no
 golden values are needed, so the differential suite is scale- and
-platform-independent (the CI job runs it over a fixed seed matrix).
+platform-independent (``tests/test_differential.py`` runs it over a
+fixed seed matrix).
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union
@@ -105,6 +106,35 @@ class SimulationService:
         if self.settings.workers and self.settings.workers > 0:
             return self._processes()
         return self._threads()
+
+    async def _run_cold(self, function, request: Any) -> AnyResult:
+        """Run ``function(request)`` on the cold pool, surviving dead workers.
+
+        A process pool breaks for good once one of its workers dies.  If
+        it broke while idle, the submit itself fails and nothing was
+        inside: the pool is replaced and the submit retried.  If it
+        broke with jobs inside, those jobs fail and the pool is dropped,
+        so the next submit builds a fresh one.  Only the broken instance
+        is dropped (it has already shut itself down); a replacement
+        another job built meanwhile stays.
+        """
+        loop = asyncio.get_running_loop()
+        pool = self._cold_pool()
+        try:
+            future = loop.run_in_executor(pool, function, request)
+        except BrokenProcessPool:
+            self._drop_broken(pool)
+            pool = self._cold_pool()
+            future = loop.run_in_executor(pool, function, request)
+        try:
+            return await future
+        except BrokenProcessPool:
+            self._drop_broken(pool)
+            raise
+
+    def _drop_broken(self, pool) -> None:
+        if self._process_pool is pool:
+            self._process_pool = None
 
     async def close(self) -> None:
         """Abandon in-flight work and release the pools.
@@ -213,9 +243,7 @@ class SimulationService:
             if kind == "fleet":
                 from repro.fleet.engine import execute_fleet
 
-                result = await loop.run_in_executor(
-                    self._cold_pool(), execute_fleet, request
-                )
+                result = await self._run_cold(execute_fleet, request)
             elif self._streaming(request, job):
                 # interval subscribers need the on_interval callback,
                 # which cannot cross a process boundary: run in-process
@@ -231,9 +259,7 @@ class SimulationService:
                     self._threads(), run_streamed
                 )
             else:
-                result = await loop.run_in_executor(
-                    self._cold_pool(), execute_request, request
-                )
+                result = await self._run_cold(execute_request, request)
         except Exception as error:
             self.metrics.errors += 1
             self._inflight.pop(key, None)

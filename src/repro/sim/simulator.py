@@ -336,45 +336,29 @@ class Simulator:
                     refs=warmup_executed, engine=self.engine,
                 )
 
-        if tracer:
-            try:
-                return self._run_main(
-                    trace,
-                    contexts,
-                    executor,
-                    warmup_starts=starts,
-                    positions=list(starts),
-                    warmup_executed=warmup_executed,
-                    prior_executed=0,
-                    prior_intervals=[],
-                    interval_refs=interval_refs,
-                    on_interval=on_interval,
-                    anchor=None,
-                    anchor_refs=0,
-                    checkpoint_refs=checkpoint_refs,
-                    on_checkpoint=on_checkpoint,
-                )
-            finally:
+        try:
+            return self._run_main(
+                trace,
+                contexts,
+                executor,
+                warmup_starts=starts,
+                positions=list(starts),
+                warmup_executed=warmup_executed,
+                prior_executed=0,
+                prior_intervals=[],
+                interval_refs=interval_refs,
+                on_interval=on_interval,
+                anchor=None,
+                anchor_refs=0,
+                checkpoint_refs=checkpoint_refs,
+                on_checkpoint=on_checkpoint,
+            )
+        finally:
+            if tracer:
                 tracer.complete(
                     "sim.run", "sim", run_start,
                     engine=self.engine, vcpus=trace.num_vcpus,
                 )
-        return self._run_main(
-            trace,
-            contexts,
-            executor,
-            warmup_starts=starts,
-            positions=list(starts),
-            warmup_executed=warmup_executed,
-            prior_executed=0,
-            prior_intervals=[],
-            interval_refs=interval_refs,
-            on_interval=on_interval,
-            anchor=None,
-            anchor_refs=0,
-            checkpoint_refs=checkpoint_refs,
-            on_checkpoint=on_checkpoint,
-        )
 
     def resume(
         self,

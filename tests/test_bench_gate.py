@@ -1,7 +1,7 @@
 """The BENCH_*.json regression gate (`repro.perf.bench.check_baseline`).
 
-Pure payload-level tests: the gate is what CI and the committed
-trajectory rely on, so its comparison semantics (best engine vs best
+Pure payload-level tests: the gate is what the committed trajectory
+relies on, so its comparison semantics (best engine vs best
 engine, loose per-case bar, tight geomean bar) are pinned here without
 timing anything.
 """

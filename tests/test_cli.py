@@ -10,6 +10,7 @@ import re
 import signal
 import subprocess
 import sys
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from repro.cli import _build_parser, main
 from repro.experiments import run_figure7
 from repro.obs import trace as obs_trace
 from repro.serve import ServiceClient
+from repro.sim.engine import validate_fastpath_requested
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -61,6 +63,16 @@ HUNT_ARGS = [
 ]
 
 SERVE_ARGV = ["serve", "--port", "0", "--workers", "0", "--cache-dir", "{tmp}"]
+
+#: The CLI checks at protocol-separating shapes, where the invariant
+#: verdicts are not vacuously true.  They take about a minute with every
+#: simulated request diffed against the reference engine, so they run
+#: only when that diffing is on (the validated CI legs set
+#: ``REPRO_VALIDATE_FASTPATH=1``).
+validated_only = pytest.mark.skipif(
+    not validate_fastpath_requested(),
+    reason="runs only with REPRO_VALIDATE_FASTPATH=1",
+)
 
 #: One row per handler the parser binds, at tiny shapes: (argv, exit
 #: code, markers the printed output contains).  ``{tmp}`` expands to the
@@ -112,11 +124,41 @@ SMOKE_ROWS = [
         id="scenario-generate",
     ),
     pytest.param(
+        ["scenario", "generate", "--family", "steady", "--vcpus", "2",
+         "--refs", "2000", "--json"],
+        0,
+        ['[\n  {\n    "name": "syn:steady/vcpus=2/refs=2000"'],
+        id="scenario-generate-json",
+    ),
+    pytest.param(
         ["scenario", "run", "--family", "steady", "--protocols",
          "software,ideal", "--vcpus", "2", "--refs", "2000", "--no-cache"],
         0,
         ["differential invariants: OK", "session: 2 simulated"],
         id="scenario-run",
+    ),
+    pytest.param(
+        # 8 vCPUs at 20k refs: the smallest shape where the protocols
+        # separate
+        ["scenario", "run", "--family", "migration-daemon", "--protocols",
+         "software,hatric,ideal", "--seed", "7", "--vcpus", "8", "--refs",
+         "20000", "--no-cache"],
+        0,
+        ["differential invariants: OK"],
+        id="scenario-run-separating",
+        marks=validated_only,
+    ),
+    pytest.param(
+        # two guests time-sharing all 8 pCPUs: the smallest consolidated
+        # shape with cross-VM shootdown separation
+        ["consolidation", "--guests", "2", "--sharing", "shared",
+         "--protocols", "software,hatric,ideal", "--guest-workload",
+         "syn:migration-daemon/addr=zipf/seed=7/refs=6000/blen=80",
+         "--num-cpus", "8"],
+        0,
+        ["differential invariants: OK"],
+        id="consolidation-separating",
+        marks=validated_only,
     ),
     pytest.param(
         ["scenario", "diff", "--family", "steady", "--seeds", "0",
@@ -135,6 +177,21 @@ SMOKE_ROWS = [
         0,
         ["timeline: syn:migration-daemon", "software:", "hatric:", "coh.cycles"],
         id="timeline",
+    ),
+    pytest.param(
+        ["timeline", "--chart", "--protocols", "software,hatric",
+         "--num-cpus", "2", "--refs", "2000", "--intervals", "4"],
+        0,
+        ["software: runtime=", "coherence |", "ramp: "],
+        id="timeline-chart",
+    ),
+    pytest.param(
+        ["timeline", "--refs", "12000", "--intervals", "6", "--num-cpus",
+         "4", "--protocols", "software,hatric"],
+        0,
+        ["software:", "hatric:"],
+        id="timeline-separating",
+        marks=validated_only,
     ),
     pytest.param(
         ["profile", "--protocols", "software,hatric", "--num-cpus", "2",
@@ -226,8 +283,80 @@ def test_smoke(argv, code, markers, tmp_path, capsys, request):
     capsys.readouterr()
     assert main(_expand(argv, tmp_path, trace)) == code
     out = capsys.readouterr().out
+    if "--json" in argv:
+        json.loads(out)
     for marker in markers:
         assert marker in out
+
+
+def test_traced_run_json_is_byte_identical(tmp_path, monkeypatch, capsys):
+    argv = ["run", "--refs", "12000", "--intervals", "8", "--num-cpus", "4",
+            "--protocol", "software", "--json"]
+    assert main(argv) == 0
+    untraced = capsys.readouterr().out
+    trace = tmp_path / "run.jsonl"
+    monkeypatch.setenv("REPRO_TRACE", str(trace))
+    monkeypatch.delenv("_REPRO_TRACE_OWNER_PID", raising=False)
+    obs_trace.reset()
+    try:
+        assert main(argv) == 0
+    finally:
+        monkeypatch.delenv("REPRO_TRACE")
+        monkeypatch.delenv("_REPRO_TRACE_OWNER_PID", raising=False)
+        obs_trace.reset()
+    assert capsys.readouterr().out == untraced
+    assert "sim.run" in trace.read_text()
+
+
+@validated_only
+def test_validated_fleet_fills_the_store(tmp_path, capsys):
+    # the smallest separating fleet shape, at one migration intensity
+    assert main([
+        "fleet", "--hosts", "2", "--vms-per-host", "2", "--num-cpus", "4",
+        "--epochs", "3", "--epoch-refs", "1024", "--storm-refs", "64",
+        "--intensities", "1", "--protocols", "software,hatric,ideal",
+        "--cache-dir", str(tmp_path),
+    ]) == 0
+    capsys.readouterr()
+    assert main(["cache", "--cache-dir", str(tmp_path), "info"]) == 0
+    assert re.search(r"fleet_entries +3\b", capsys.readouterr().out)
+
+
+@validated_only
+def test_validated_hunt_rerun_is_answered_from_the_cache(tmp_path):
+    def hunt(output: str) -> dict:
+        assert main([
+            "hunt", "--budget", "15", "--scale", "0.2", "--seed", "7",
+            "--num-cpus", "4", "--cache-dir", str(tmp_path / "store"),
+            "--json", "--output", str(tmp_path / output),
+        ]) == 0
+        return json.loads((tmp_path / output).read_text())
+
+    cold = hunt("hunt-cold.json")
+    warm = hunt("hunt.json")
+    assert cold["ok"] and warm["ok"]
+    assert warm["session"]["disk_hits"] > 0, warm["session"]
+    assert warm["session"]["executed"] == 0, warm["session"]
+    assert warm["frontier"] == cold["frontier"]
+
+
+@validated_only
+def test_validated_loadtest_warm_rerun_executes_nothing(tmp_path):
+    argv = [
+        "loadtest", "--clients", "200", "--requests", "2", "--scenarios",
+        "4", "--num-cpus", "2", "--refs", "2000", "--workers", "0",
+        "--seed", "2025", "--cache-dir", str(tmp_path / "store"),
+    ]
+    report = tmp_path / "load-report.txt"
+    assert main(argv + ["--expect", "cold", "--output", str(report)]) == 0
+    warm_path = tmp_path / "load-warm.json"
+    assert main(
+        argv + ["--expect", "warm", "--json", "--output", str(warm_path)]
+    ) == 0
+    warm = json.loads(warm_path.read_text())
+    assert warm["ok"], warm["checks"]
+    assert warm["stats"]["delta"]["executed"] == 0, warm["stats"]
+    assert warm["total_requests"] == 400, warm["total_requests"]
 
 
 def _bound_handlers(parser: argparse.ArgumentParser) -> set:
@@ -264,6 +393,12 @@ def test_serve_listens_answers_and_stops_on_sigint(tmp_path):
         host, port = line.split("http://", 1)[1].split()[0].rsplit(":", 1)
         status, _ = asyncio.run(ServiceClient(host, int(port)).get("/healthz"))
         assert status == 200
+        url = f"http://{host}:{port}/metrics"
+        with urllib.request.urlopen(url, timeout=30) as reply:
+            metrics = reply.read().decode("utf-8").splitlines()
+        assert "repro_requests_total 0" in metrics
+        assert "# TYPE repro_request_latency_seconds histogram" in metrics
+        assert any(line.startswith("repro_store_entries ") for line in metrics)
         proc.send_signal(signal.SIGINT)
         out, err = proc.communicate(timeout=30)
     finally:

@@ -5,8 +5,8 @@ Pins the layer's three load-bearing promises:
 * **Off by default, harmless when on.**  With ``REPRO_TRACE`` unset no
   tracer exists and no file is written; with it set, a traced run
   produces a valid Chrome ``trace_event`` stream while every simulation
-  result stays bit-identical to the untraced run (the fingerprint
-  identity the CI ``obs`` job re-checks end to end).
+  result stays bit-identical to the untraced run (``tests/test_cli.py``
+  re-checks it end to end on full ``repro run --json`` output).
 * **Conservation.**  Interval telemetry sums to final aggregates on
   fleet runs on both engines, and the serve layer's
   ``/metrics`` exposition agrees with the ``/stats`` JSON it mirrors.

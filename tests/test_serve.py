@@ -12,6 +12,11 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import multiprocessing
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -292,6 +297,69 @@ class TestRestartMidRun:
                 assert body["source"] == "memo"
 
         asyncio.run(after_restart())
+
+
+async def _kill_worker(known: set) -> set:
+    """SIGKILL the one pool worker not in ``known``; wait until it is reaped.
+
+    The pool reaps a dead worker only after marking itself broken, so
+    once the pid is gone the pool's breakage is observable.  Returns the
+    child pids seen, for the next call.
+    """
+    children = {child.pid for child in multiprocessing.active_children()}
+    (pid,) = children - known
+    os.kill(pid, signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return children
+        await asyncio.sleep(0.05)
+    raise AssertionError(f"killed worker {pid} was never reaped")
+
+
+class TestDeadWorker:
+    def test_dead_worker_fails_only_its_jobs(self):
+        async def scenario():
+            service = SimulationService(
+                ServiceSettings(cache_dir=None, workers=1)
+            )
+            try:
+                known = {c.pid for c in multiprocessing.active_children()}
+                await service.submit(run_request(refs=1000))
+                # a worker dying while idle breaks the pool before the
+                # next submit: both later requests run on a fresh pool
+                known = await _kill_worker(known)
+                for protocol in ("software", "ideal"):
+                    source, _ = await service.submit(
+                        run_request(protocol, refs=1000)
+                    )
+                    assert source == "executed"
+                assert service.metrics.errors == 0
+
+                # a worker dying with a job inside fails that job only
+                queue: asyncio.Queue = asyncio.Queue()
+                task = asyncio.ensure_future(
+                    service.submit(run_request(refs=30_000), queue=queue)
+                )
+                while (await asyncio.wait_for(queue.get(), 30))[0] != "started":
+                    pass
+                await _kill_worker(known)
+                with pytest.raises(BrokenProcessPool):
+                    await task
+                event, data = await queue.get()
+                assert (event, data["code"]) == ("error", "execution-failed")
+                assert service.metrics.errors == 1
+                source, _ = await service.submit(
+                    run_request("unitd", refs=1000)
+                )
+                assert source == "executed"
+                assert service.metrics.errors == 1
+            finally:
+                await service.close()
+
+        asyncio.run(scenario())
 
 
 class TestStreaming:

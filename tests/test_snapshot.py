@@ -38,6 +38,7 @@ from repro.sim.engine import (
     ENGINE_FAST,
     ENGINE_REFERENCE,
     ENGINES,
+    FastPathMismatchError,
     diff_fingerprints,
     machine_digest,
     result_fingerprint,
@@ -145,18 +146,6 @@ def _assert_conservation(result) -> None:
         previous_end = sample.end_refs
     if samples:
         assert previous_end == stats.total_instructions
-
-
-@pytest.fixture
-def checkpoints_live(monkeypatch):
-    """Run the test with ``REPRO_VALIDATE_FASTPATH`` off.
-
-    Validation mode executes every request cold on both engines and
-    skips checkpoints by design (see ``execute_request_checkpointed``),
-    so tests that count checkpoint restores and cold runs -- the
-    checkpoint path itself -- turn it off for themselves.
-    """
-    monkeypatch.delenv("REPRO_VALIDATE_FASTPATH", raising=False)
 
 
 class TestSnapshotRoundTrip:
@@ -338,7 +327,6 @@ class TestSnapshotGuards:
         assert failed == 0
         assert store.load(path) is not None
 
-    @pytest.mark.usefixtures("checkpoints_live")
     def test_shape_corrupt_candidate_degrades_to_cold(self, tmp_path) -> None:
         # schema stamps intact, payload body gutted: the candidate scan
         # must skip it (cold run), not crash the batch
@@ -381,11 +369,12 @@ class TestSnapshotGuards:
         assert survivors == [6000, 5000, 4000, 3000]
 
 
-@pytest.mark.usefixtures("checkpoints_live")
 class TestSessionCheckpointing:
     SWEEP_WORKLOAD = "prefix:12000:syn:migration-daemon/seed=7"
 
-    def _requests(self, protocol: str = "software") -> list[RunRequest]:
+    def _requests(
+        self, protocol: str = "software", points=(4000, 8000, 12000)
+    ) -> list[RunRequest]:
         config = _config(protocol)
         return [
             RunRequest(
@@ -395,7 +384,7 @@ class TestSessionCheckpointing:
                 warmup_refs=100,
                 interval_refs=1000,
             )
-            for refs in (4000, 8000, 12000)
+            for refs in points
         ]
 
     def test_incremental_sweep_is_bit_identical_to_cold(self, tmp_path) -> None:
@@ -417,6 +406,34 @@ class TestSessionCheckpointing:
             )
             assert not differences, "\n".join(differences[:20])
             _assert_conservation(warm_result)
+
+    def test_validation_checks_restored_runs(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        # validation diffs the returned result, so a validated sweep
+        # still takes the checkpoint path it is meant to check
+        monkeypatch.setenv("REPRO_VALIDATE_FASTPATH", "1")
+        before = dict(CHECKPOINT_COUNTERS)
+        session = Session(cache_dir=tmp_path, checkpoints=True)
+        session.run_batch(self._requests(points=(2000, 3000)))
+        assert CHECKPOINT_COUNTERS["restored"] - before["restored"] >= 1
+
+    def test_validation_catches_restore_drift(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        from repro.sim import snapshot as snapshot_module
+
+        load_cache = snapshot_module._load_cache
+
+        def skip_llc(cache, data) -> None:
+            if cache.name != "llc":  # restore leaves the LLC cold
+                load_cache(cache, data)
+
+        monkeypatch.setenv("REPRO_VALIDATE_FASTPATH", "1")
+        monkeypatch.setattr(snapshot_module, "_load_cache", skip_llc)
+        session = Session(cache_dir=tmp_path, checkpoints=True)
+        with pytest.raises(FastPathMismatchError, match="fast engine diverged"):
+            session.run_batch(self._requests(points=(2000, 3000)))
 
     def test_non_prefix_stable_sweep_degrades_to_cold(self, tmp_path) -> None:
         # raw generators are not prefix-stable in refs_total, so the
