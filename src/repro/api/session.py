@@ -56,7 +56,7 @@ from repro.sim.simulator import (
     resolve_trace,
     warmup_starts,
 )
-from repro.sim.snapshot import SnapshotError, restore_run, trace_prefix_digest
+from repro.sim.snapshot import SnapshotError, restore_run
 from repro.workloads import make_workload
 
 logger = get_logger(__name__)
@@ -188,40 +188,27 @@ def execute_request_checkpointed(
         for candidate in store.candidates(family)
         if candidate[0] <= main_capacity
     ]
-    restored = None
+    run = None
     for executed, path in feasible[:CANDIDATE_SCAN_LIMIT]:
         data = store.load(path)
         if data is None:
             continue
         try:
-            positions = data["trace"]["positions"]
             if data["warmup"]["starts"] != starts:
                 continue
-            if len(positions) != len(lengths) or any(
-                position > length
-                for position, length in zip(positions, lengths)
-            ):
-                continue
-            if (
-                trace_prefix_digest(trace, positions)
-                != data["trace"]["prefix_digest"]
-            ):
-                continue
-            restored = restore_run(data, engine=request.engine or None)
+            run = restore_run(data, trace, engine=request.engine or None)
         except (SnapshotError, KeyError, TypeError, ValueError):
-            # schema-valid but shape-corrupt payloads degrade to the
-            # next candidate (ultimately a cold run), never to a crash
+            # schema-valid but shape-corrupt payloads, and checkpoints
+            # of another reference stream, degrade to the next
+            # candidate (ultimately a cold run), never to a crash
             continue
         break
 
-    if restored is not None:
+    if run is not None:
         CHECKPOINT_COUNTERS["restored"] += 1
-        simulator = restored.simulator
-        result = restored.resume(
-            trace,
-            checkpoint_refs=checkpoint_refs,
-            on_checkpoint=on_checkpoint,
-            verify_prefix=False,  # the candidate scan just digested it
+        simulator = run.simulator
+        result = simulator.resume(
+            run, checkpoint_refs=checkpoint_refs, on_checkpoint=on_checkpoint
         )
     else:
         CHECKPOINT_COUNTERS["cold"] += 1
@@ -503,30 +490,39 @@ class Session:
     def _execute_pending(self, pending: dict[str, RunRequest]) -> None:
         keys = list(pending)
         todo = [pending[key] for key in keys]
-        parallel = (
-            self.max_workers is not None
-            and self.max_workers > 1
-            and len(todo) > 1
-        )
         tracer = active_tracer()
         start = tracer.now() if tracer else 0.0
         if self.checkpoint_store is not None:
-            results = self._execute_checkpointed(todo, parallel)
-        elif parallel:
-            with _worker_pool(self.max_workers) as pool:
-                results = list(pool.map(self.executor, todo))
+            results = self._execute_checkpointed(todo)
         else:
-            results = [self.executor(request) for request in todo]
+            results = self._fan_out(self.executor, todo)
         if tracer:
             tracer.complete(
                 "session.execute_pending",
                 "session",
                 start,
                 pending=len(todo),
-                parallel=parallel,
+                parallel=self._parallel(len(todo)),
             )
         for key, result in zip(keys, results):
             self.store_result(key, result)
+
+    def _parallel(self, count: int) -> bool:
+        """Whether :meth:`_fan_out` spreads ``count`` items over workers."""
+        return (
+            self.max_workers is not None and self.max_workers > 1 and count > 1
+        )
+
+    def _fan_out(self, fn: Callable, items: list) -> list:
+        """``fn`` over ``items``, in order, across workers when parallel.
+
+        Everything else runs in-process, which keeps counters visible
+        and skips the pool spawn.
+        """
+        if not self._parallel(len(items)):
+            return [fn(item) for item in items]
+        with _worker_pool(self.max_workers) as pool:
+            return list(pool.map(fn, items))
 
     def run_matrix(
         self, groups: Sequence[Sequence[RunRequest]]
@@ -560,26 +556,15 @@ class Session:
         from repro.fleet.engine import execute_fleet
 
         plan = self.plan_batch(requests)
-        if plan.pending:
-            keys = list(plan.pending)
-            todo = [plan.pending[key] for key in keys]
-            parallel = (
-                self.max_workers is not None
-                and self.max_workers > 1
-                and len(todo) > 1
-            )
-            if parallel:
-                with _worker_pool(self.max_workers) as pool:
-                    results = list(pool.map(execute_fleet, todo))
-            else:
-                results = [execute_fleet(request) for request in todo]
-            for key, result in zip(keys, results):
-                self.store_result(key, result)
+        keys = list(plan.pending)
+        results = self._fan_out(
+            execute_fleet, [plan.pending[key] for key in keys]
+        )
+        for key, result in zip(keys, results):
+            self.store_result(key, result)
         return self.collect(plan)
 
-    def _execute_checkpointed(
-        self, todo: list[RunRequest], parallel: bool
-    ) -> list[AnyResult]:
+    def _execute_checkpointed(self, todo: list[RunRequest]) -> list[AnyResult]:
         """Execute a batch through the checkpoint store.
 
         Requests of one checkpoint *family* (identical machine
@@ -589,7 +574,6 @@ class Session:
         concurrency *across* families without losing reuse *within*
         them.  Results are returned in the input order.
         """
-        store_directory = str(self.checkpoint_store.directory)
         chains: dict[str, list[int]] = {}
         for index, request in enumerate(todo):
             chains.setdefault(checkpoint_family_key(request), []).append(index)
@@ -603,31 +587,15 @@ class Session:
             )
             for indices in chains.values()
         ]
+        runner = functools.partial(
+            _execute_chain,
+            store_directory=str(self.checkpoint_store.directory),
+            checkpoint_refs=self.checkpoint_refs,
+        )
+        chain_outputs = self._fan_out(
+            runner, [[todo[i] for i in chain] for chain in ordered]
+        )
         results: list[Optional[AnyResult]] = [None] * len(todo)
-        if parallel and len(ordered) > 1:
-            runner = functools.partial(
-                _execute_chain,
-                store_directory=store_directory,
-                checkpoint_refs=self.checkpoint_refs,
-            )
-            with _worker_pool(self.max_workers) as pool:
-                chain_outputs = list(
-                    pool.map(
-                        runner,
-                        [[todo[i] for i in chain] for chain in ordered],
-                    )
-                )
-        else:
-            # serial, or a batch that collapsed to one family: running
-            # in-process keeps counters visible and skips pool spawn.
-            chain_outputs = [
-                _execute_chain(
-                    [todo[i] for i in chain],
-                    store_directory,
-                    self.checkpoint_refs,
-                )
-                for chain in ordered
-            ]
         for indices, chain_results in zip(ordered, chain_outputs):
             for index, result in zip(indices, chain_results):
                 results[index] = result

@@ -44,6 +44,7 @@ from repro.fleet.transport import (
 )
 from repro.sim.config import SystemConfig
 from repro.sim.engine import (
+    ENGINE_FAST,
     ENGINE_REFERENCE,
     FastPathMismatchError,
     diff_fingerprints,
@@ -51,7 +52,7 @@ from repro.sim.engine import (
     resolve_engine,
     validate_fastpath_requested,
 )
-from repro.sim.simulator import Simulator, SteppedRun
+from repro.sim.simulator import Run, Simulator
 from repro.workloads import make_workload
 from repro.workloads.base import WorkloadTrace
 from repro.workloads.storm import storm_segment, stream_page_span
@@ -209,7 +210,9 @@ def _simulate_fleet(
     hosts = [
         Simulator(config, engine=engine) for _ in range(spec.num_hosts)
     ]
-    runs = [SteppedRun(host, trace) for host in hosts]
+    runs = [Run(host, trace) for host in hosts]
+    for run in runs:
+        run.start_interval()
     placement = spec.initial_placement()
     moves_done = [0] * spec.num_vms
     transport = {"captures": 0, "restores": 0, "bytes": 0}
@@ -292,40 +295,54 @@ def execute_fleet(request: FleetRequest) -> FleetResult:
     Module-level so a :class:`concurrent.futures.ProcessPoolExecutor`
     can pickle it into worker processes (mirroring
     :func:`repro.api.session.execute_request`).  Under
-    ``REPRO_VALIDATE_FASTPATH=1`` a fast-engine fleet runs on *both*
-    engines and any fingerprint difference raises
-    :class:`~repro.sim.engine.FastPathMismatchError`.
+    ``REPRO_VALIDATE_FASTPATH=1`` a fast-engine result is checked
+    against a reference-engine run before it is returned (see
+    :func:`_check_against_reference`).
     """
-    resolved = resolve_engine(request.engine or None)
-    if validate_fastpath_requested() and resolved != ENGINE_REFERENCE:
-        outcomes = {}
-        raw_digests = {}
-        for engine in (ENGINE_REFERENCE, resolved):
-            outcomes[engine], raw_digests[engine] = _simulate_fleet(
-                request.spec, request.protocol, engine
-            )
-        if (
-            outcomes[ENGINE_REFERENCE].fingerprint
-            != outcomes[resolved].fingerprint
-        ):
-            differences: list[str] = []
-            for host_index, (reference, candidate) in enumerate(
-                zip(raw_digests[ENGINE_REFERENCE], raw_digests[resolved])
-            ):
-                differences.extend(
-                    diff_fingerprints(
-                        reference, candidate, prefix=f"host{host_index}."
-                    )
-                )
-            details = "\n  ".join(differences[:20]) or "telemetry-only drift"
-            raise FastPathMismatchError(
-                f"{resolved} engine diverged from the reference engine on "
-                f"fleet {request.spec.name!r} under {request.protocol}:"
-                f"\n  {details}"
-            )
-        return outcomes[resolved]
-    result, _ = _simulate_fleet(request.spec, request.protocol, resolved)
-    return result
+    engine = resolve_engine(request.engine or None)
+    result, digests = _simulate_fleet(request.spec, request.protocol, engine)
+    return _check_against_reference(request, result, digests, engine)
+
+
+def _check_against_reference(
+    request: FleetRequest, result: FleetResult, digests: list[dict],
+    engine: str,
+) -> FleetResult:
+    """Return ``result`` once the reference engine agrees with it.
+
+    A no-op unless ``REPRO_VALIDATE_FASTPATH=1`` is set and ``engine``
+    is the fast one.  Then the fleet runs again on the reference engine,
+    and any fingerprint difference raises
+    :class:`~repro.sim.engine.FastPathMismatchError` naming the host
+    summary, transport and machine-digest fields that differ.
+    """
+    if not validate_fastpath_requested() or engine != ENGINE_FAST:
+        return result
+    reference, reference_digests = _simulate_fleet(
+        request.spec, request.protocol, ENGINE_REFERENCE
+    )
+    if reference.fingerprint == result.fingerprint:
+        return result
+    differences: list[str] = []
+    for index, (expected, actual) in enumerate(
+        zip(reference.hosts, result.hosts)
+    ):
+        differences += diff_fingerprints(expected, actual, f"host{index}.")
+    differences += diff_fingerprints(
+        reference.transport, result.transport, "transport."
+    )
+    for index, (expected, actual) in enumerate(
+        zip(reference_digests, digests)
+    ):
+        differences += diff_fingerprints(expected, actual, f"host{index}.")
+    details = (
+        "\n  ".join(differences[:20])
+        or "per-CPU, per-VM or energy-split drift"
+    )
+    raise FastPathMismatchError(
+        f"{engine} engine diverged from the reference engine on fleet "
+        f"{request.spec.name!r} under {request.protocol}:\n  {details}"
+    )
 
 
 __all__ = ["FleetLayout", "build_fleet_trace", "execute_fleet"]

@@ -37,7 +37,8 @@ objects in the *same* order and count the *same* statistics, so results
 are **bit-identical** to the reference engine.  That property is load
 bearing (``CACHE_SCHEMA_VERSION`` is not bumped by engine selection)
 and is enforced by ``tests/test_fastpath.py``, the golden snapshots,
-and the ``REPRO_VALIDATE_FASTPATH=1`` run-both-and-diff mode.
+and the ``REPRO_VALIDATE_FASTPATH=1`` post-check, which reruns every
+fast-engine result on the reference engine and diffs the fingerprints.
 
 Engine selection: ``Simulator(config, engine=...)`` explicitly,
 ``REPRO_SIM_ENGINE`` globally, default :data:`ENGINE_FAST`.  Validation
@@ -142,7 +143,7 @@ def resolve_engine(engine: Optional[str], validate: bool = False) -> str:
 
 
 def validate_fastpath_requested() -> bool:
-    """True when ``REPRO_VALIDATE_FASTPATH`` asks for run-both-and-diff.
+    """True when ``REPRO_VALIDATE_FASTPATH`` asks for the reference post-check.
 
     The flag is parsed strictly: a value that is neither clearly on nor
     clearly off (say, ``REPRO_VALIDATE_FASTPATH=ture``) raises instead

@@ -311,48 +311,20 @@ class Simulator:
         """
         tracer = active_tracer()
         run_start = tracer.now() if tracer else 0.0
-        trace = self._resolve_trace(workload, refs_total)
-        self._validate_trace_shape(trace)
+        trace = resolve_trace(
+            workload, self.config.num_cpus, self.config.seed, refs_total
+        )
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
-
-        contexts = self._create_guests(trace)
-        executor = make_executor(self, trace, contexts)
-
         starts = warmup_starts(trace, warmup_fraction, warmup_refs)
+        run = Run(self, trace, interval_refs=interval_refs)
         warmup_requested = (
             warmup_refs > 0 if warmup_refs is not None else warmup_fraction > 0.0
         )
-        warmup_executed = 0
         if warmup_requested:
-            warmup_start = tracer.now() if tracer else 0.0
-            warmup_executed = executor.execute_span(
-                [0] * trace.num_vcpus, list(starts)
-            )
-            self._reset_statistics()
-            if tracer:
-                tracer.complete(
-                    "sim.warmup", "sim", warmup_start,
-                    refs=warmup_executed, engine=self.engine,
-                )
-
+            run.warm_up(starts)
         try:
-            return self._run_main(
-                trace,
-                contexts,
-                executor,
-                warmup_starts=starts,
-                positions=list(starts),
-                warmup_executed=warmup_executed,
-                prior_executed=0,
-                prior_intervals=[],
-                interval_refs=interval_refs,
-                on_interval=on_interval,
-                anchor=None,
-                anchor_refs=0,
-                checkpoint_refs=checkpoint_refs,
-                on_checkpoint=on_checkpoint,
-            )
+            return run.finish(on_interval, checkpoint_refs, on_checkpoint)
         finally:
             if tracer:
                 tracer.complete(
@@ -362,59 +334,25 @@ class Simulator:
 
     def resume(
         self,
-        trace: WorkloadTrace,
-        contexts: list[GuestProcess],
-        positions: list[int],
+        run: "Run",
         *,
-        warmup_starts: list[int],
-        warmup_executed: int = 0,
-        executed_refs: int = 0,
-        intervals: Optional[list[IntervalSample]] = None,
-        anchor: Optional[dict] = None,
-        anchor_refs: Optional[int] = None,
-        interval_refs: Optional[int] = None,
-        on_interval=None,
         checkpoint_refs: Optional[int] = None,
         on_checkpoint=None,
     ) -> SimulationResult:
-        """Continue a restored run from ``positions`` to stream ends.
+        """Continue a restored run to stream ends and return the result.
 
-        The simulator must already hold the restored machine state (see
-        :func:`repro.sim.snapshot.restore_run`, which builds it); this
-        method only drives the remaining references.  With matching
-        arguments the continuation is bit-identical to the straight-
-        through run the snapshot was captured from.
+        ``run`` comes from :func:`repro.sim.snapshot.restore_run`, which
+        rebuilt this simulator's machine state and checked the trace
+        against the snapshot.  The continuation is bit-identical to the
+        straight-through run the snapshot was captured from, and with
+        the same ``checkpoint_refs`` so are the checkpoints it captures.
         """
-        self._validate_trace_shape(trace)
-        if len(positions) != trace.num_vcpus:
-            raise ValueError("positions must name one offset per stream")
-        for position, start, stream in zip(positions, warmup_starts, trace.streams):
-            if not start <= position <= len(stream):
-                raise ValueError(
-                    f"resume position {position} outside [{start}, "
-                    f"{len(stream)}]"
-                )
-        executor = make_executor(self, trace, contexts)
-        return self._run_main(
-            trace,
-            contexts,
-            executor,
-            warmup_starts=list(warmup_starts),
-            positions=list(positions),
-            warmup_executed=warmup_executed,
-            prior_executed=executed_refs,
-            prior_intervals=list(intervals or []),
-            interval_refs=interval_refs,
-            on_interval=on_interval,
-            anchor=anchor,
-            anchor_refs=executed_refs if anchor_refs is None else anchor_refs,
-            checkpoint_refs=checkpoint_refs,
-            on_checkpoint=on_checkpoint,
+        if run.simulator is not self:
+            raise ValueError("the run belongs to another simulator")
+        return run.finish(
+            checkpoint_refs=checkpoint_refs, on_checkpoint=on_checkpoint
         )
 
-    # ------------------------------------------------------------------
-    # the main-phase driver (telemetry + checkpoints)
-    # ------------------------------------------------------------------
     def telemetry_aggregate(self) -> dict:
         """Cumulative post-warmup aggregates used as interval anchors.
 
@@ -433,199 +371,6 @@ class Simulator:
             "vms": [vm.to_dict() for vm in stats.vms],
             "energy": self.energy_model.compute(self.chip, self.stats).total,
         }
-
-    @staticmethod
-    def _interval_delta(
-        start_refs: int, end_refs: int, anchor: dict, current: dict
-    ) -> IntervalSample:
-        events = {
-            key: value - anchor["events"].get(key, 0)
-            for key, value in current["events"].items()
-            if value - anchor["events"].get(key, 0)
-        }
-        vms = []
-        for index, vm in enumerate(current["vms"]):
-            base = (
-                anchor["vms"][index]
-                if index < len(anchor["vms"])
-                else {"busy_cycles": 0, "coherence_cycles": 0,
-                      "instructions": 0, "events": {}}
-            )
-            vms.append(
-                {
-                    "busy_cycles": vm["busy_cycles"] - base["busy_cycles"],
-                    "coherence_cycles": (
-                        vm["coherence_cycles"] - base["coherence_cycles"]
-                    ),
-                    "instructions": vm["instructions"] - base["instructions"],
-                    "events": {
-                        key: value - base["events"].get(key, 0)
-                        for key, value in vm["events"].items()
-                        if value - base["events"].get(key, 0)
-                    },
-                }
-            )
-        return IntervalSample(
-            start_refs=start_refs,
-            end_refs=end_refs,
-            busy_cycles=current["busy"] - anchor["busy"],
-            coherence_cycles=current["coherence"] - anchor["coherence"],
-            background_cycles=current["background"] - anchor["background"],
-            instructions=current["instructions"] - anchor["instructions"],
-            energy=current["energy"] - anchor["energy"],
-            events=events,
-            vms=vms,
-        )
-
-    def _run_main(
-        self,
-        trace: WorkloadTrace,
-        contexts: list[GuestProcess],
-        executor,
-        *,
-        warmup_starts: list[int],
-        positions: list[int],
-        warmup_executed: int,
-        prior_executed: int,
-        prior_intervals: list[IntervalSample],
-        interval_refs: Optional[int],
-        on_interval=None,
-        anchor: Optional[dict],
-        anchor_refs: int,
-        checkpoint_refs: Optional[int],
-        on_checkpoint,
-    ) -> SimulationResult:
-        """Execute the (remaining) main phase and assemble the result.
-
-        Telemetry and checkpoints hook the executor's round boundaries:
-        after every full round-robin round all streams sit at positions
-        ``min(start + CHUNK * round, end)``, a state both engines reach
-        identically, which is what makes interval samples engine-
-        independent and snapshots reusable by longer runs.
-        """
-        ends = [len(s) for s in trace.streams]
-        intervals = prior_intervals
-        chunk = _INTERLEAVE_CHUNK
-        tracer = active_tracer()
-
-        def emit_interval(sample: IntervalSample) -> None:
-            intervals.append(sample)
-            if tracer:
-                tracer.instant(
-                    "sim.interval", "sim",
-                    start_refs=sample.start_refs,
-                    end_refs=sample.end_refs,
-                    busy_cycles=sample.busy_cycles,
-                    coherence_cycles=sample.coherence_cycles,
-                )
-            if on_interval is not None:
-                on_interval(sample)
-
-        on_round = None
-        if interval_refs is not None or on_checkpoint is not None:
-            if interval_refs is not None and interval_refs <= 0:
-                raise ValueError("interval_refs must be positive when given")
-            if checkpoint_refs is not None and checkpoint_refs <= 0:
-                raise ValueError("checkpoint_refs must be positive when given")
-            offsets = [p - s for p, s in zip(positions, warmup_starts)]
-            # Checkpoints are only meaningful from a round-aligned span
-            # start (a fresh run, or a resume from a saved checkpoint);
-            # from anywhere else the per-round position formula below
-            # would not hold, so checkpointing is silently disabled.
-            aligned = (
-                bool(offsets)
-                and all(offset == offsets[0] for offset in offsets)
-                and offsets[0] % chunk == 0
-            )
-            if not aligned:
-                on_checkpoint = None
-            base_round = max(
-                (offset + chunk - 1) // chunk for offset in offsets
-            ) if offsets else 0
-            # rounds 0..last_round have every stream unclamped, i.e. a
-            # longer run over the same prefix visits the same state.
-            last_round = min(
-                (end - start) // chunk
-                for start, end in zip(warmup_starts, ends)
-            ) if ends else 0
-            state = {
-                "round": base_round,
-                "anchor": anchor,
-                "anchor_refs": anchor_refs,
-                "last_checkpoint": prior_executed,
-            }
-            if interval_refs is not None and state["anchor"] is None:
-                state["anchor"] = self.telemetry_aggregate()
-
-            def on_round(executed_in_span: int) -> None:
-                state["round"] += 1
-                executed_total = prior_executed + executed_in_span
-                if (
-                    interval_refs is not None
-                    and executed_total - state["anchor_refs"] >= interval_refs
-                ):
-                    current = self.telemetry_aggregate()
-                    emit_interval(
-                        self._interval_delta(
-                            state["anchor_refs"], executed_total,
-                            state["anchor"], current,
-                        )
-                    )
-                    state["anchor"] = current
-                    state["anchor_refs"] = executed_total
-                if on_checkpoint is None:
-                    return
-                r = state["round"]
-                due = (
-                    checkpoint_refs is not None
-                    and executed_total - state["last_checkpoint"]
-                    >= checkpoint_refs
-                )
-                if (r == last_round or due) and r <= last_round and r > 0:
-                    from repro.sim.snapshot import capture_snapshot
-
-                    state["last_checkpoint"] = executed_total
-                    snapshot = capture_snapshot(
-                        self,
-                        trace,
-                        positions=[
-                            start + chunk * r for start in warmup_starts
-                        ],
-                        warmup_starts=warmup_starts,
-                        warmup_executed=warmup_executed,
-                        executed_refs=executed_total,
-                        intervals=intervals,
-                        interval_refs=interval_refs,
-                        anchor=state["anchor"],
-                        anchor_refs=state["anchor_refs"],
-                    )
-                    on_checkpoint(snapshot)
-
-        executed = executor.execute_span(positions, ends, on_round)
-
-        if interval_refs is not None:
-            executed_total = prior_executed + executed
-            if executed_total > state["anchor_refs"]:
-                current = self.telemetry_aggregate()
-                emit_interval(
-                    self._interval_delta(
-                        state["anchor_refs"], executed_total,
-                        state["anchor"], current,
-                    )
-                )
-
-        energy = self.energy_model.compute(self.chip, self.stats)
-        per_app = self._per_app_cycles(trace)
-        return SimulationResult(
-            config=self.config,
-            workload=trace.name,
-            stats=self.stats,
-            energy=energy,
-            warmup_references=warmup_executed,
-            per_app_cycles=per_app,
-            vm_names=list(trace.vm_names or []),
-            intervals=intervals,
-        )
 
     def _validate_trace_shape(self, trace: WorkloadTrace) -> None:
         if trace.pcpu_of_vcpu is not None:
@@ -707,13 +452,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution internals
     # ------------------------------------------------------------------
-    def _resolve_trace(
-        self, workload: WorkloadLike, refs_total: Optional[int]
-    ) -> WorkloadTrace:
-        return resolve_trace(
-            workload, self.config.num_cpus, self.config.seed, refs_total
-        )
-
     def _execute_span(
         self,
         trace: WorkloadTrace,
@@ -859,33 +597,116 @@ class Simulator:
         return per_app
 
 
-class SteppedRun:
-    """Externally driven execution: advance a machine span by span.
+def _interval_delta(
+    start_refs: int, end_refs: int, anchor: dict, current: dict
+) -> IntervalSample:
+    """The statistics delta between two telemetry aggregates."""
+    events = {
+        key: value - anchor["events"].get(key, 0)
+        for key, value in current["events"].items()
+        if value - anchor["events"].get(key, 0)
+    }
+    vms = []
+    for index, vm in enumerate(current["vms"]):
+        base = (
+            anchor["vms"][index]
+            if index < len(anchor["vms"])
+            else {"busy_cycles": 0, "coherence_cycles": 0,
+                  "instructions": 0, "events": {}}
+        )
+        vms.append(
+            {
+                "busy_cycles": vm["busy_cycles"] - base["busy_cycles"],
+                "coherence_cycles": (
+                    vm["coherence_cycles"] - base["coherence_cycles"]
+                ),
+                "instructions": vm["instructions"] - base["instructions"],
+                "events": {
+                    key: value - base["events"].get(key, 0)
+                    for key, value in vm["events"].items()
+                    if value - base["events"].get(key, 0)
+                },
+            }
+        )
+    return IntervalSample(
+        start_refs=start_refs,
+        end_refs=end_refs,
+        busy_cycles=current["busy"] - anchor["busy"],
+        coherence_cycles=current["coherence"] - anchor["coherence"],
+        background_cycles=current["background"] - anchor["background"],
+        instructions=current["instructions"] - anchor["instructions"],
+        energy=current["energy"] - anchor["energy"],
+        events=events,
+        vms=vms,
+    )
 
-    :meth:`Simulator.run` owns its whole execution; a *stepped* run
-    hands that control to the caller, which is what multi-machine
-    drivers (the fleet layer) need: every simulated host advances
-    through the same global schedule of round-aligned spans, with the
-    driver interleaving snapshot transport between spans.  Both engines
-    execute each span bit-identically, so a stepped run remains as
-    deterministic as a straight-through one.
 
-    The run executes with no warmup (statistics accumulate from the
-    first reference) and assembles a perfectly ordinary
-    :class:`SimulationResult` on demand.
+class Run:
+    """One machine executing one trace.
+
+    Every way of executing a trace is a ``Run``: :meth:`Simulator.run`
+    builds one, warms it up and finishes it;
+    :func:`repro.sim.snapshot.restore_run` rebuilds one from a snapshot
+    for :meth:`Simulator.resume` to finish; and multi-machine drivers
+    (the fleet layer) :meth:`advance` one per host through a shared
+    schedule of spans, interleaving snapshot transport between them.
+    Both engines execute every span bit-identically, so all three are
+    as deterministic as each other.
+
+    The fields are the run's whole execution state -- what
+    :func:`repro.sim.snapshot.capture_snapshot` serializes besides the
+    machine itself.  ``contexts`` are the trace's per-stream guest
+    processes when the machine already holds them (a restore); by
+    default the run creates the trace's guests.
     """
 
-    def __init__(self, simulator: Simulator, trace: WorkloadTrace) -> None:
+    def __init__(
+        self,
+        simulator: Simulator,
+        trace: WorkloadTrace,
+        contexts: Optional[list[GuestProcess]] = None,
+        *,
+        interval_refs: Optional[int] = None,
+    ) -> None:
+        if interval_refs is not None and interval_refs <= 0:
+            raise ValueError("interval_refs must be positive when given")
         simulator._validate_trace_shape(trace)
         self.simulator = simulator
         self.trace = trace
-        self.contexts = simulator._create_guests(trace)
+        self.contexts = (
+            simulator._create_guests(trace) if contexts is None else contexts
+        )
         self.executor = make_executor(simulator, trace, self.contexts)
+        #: per-stream main-phase start positions (see :func:`warmup_starts`).
+        self.warmup_starts = [0] * trace.num_vcpus
+        #: references the warmup executed before statistics were reset.
+        self.warmup_executed = 0
         self.positions = [0] * trace.num_vcpus
+        #: references executed since the warmup.
         self.executed_refs = 0
+        self.interval_refs = interval_refs
         self.intervals: list[IntervalSample] = []
-        self._anchor = simulator.telemetry_aggregate()
-        self._anchor_refs = 0
+        #: telemetry aggregate and executed count the next interval
+        #: sample is measured from; None until an interval starts.
+        self.anchor: Optional[dict] = None
+        self.anchor_refs = 0
+
+    def warm_up(self, starts: list[int]) -> None:
+        """Execute every stream up to ``starts``, then reset statistics."""
+        simulator = self.simulator
+        tracer = active_tracer()
+        start = tracer.now() if tracer else 0.0
+        self.warmup_executed = self.executor.execute_span(
+            [0] * self.trace.num_vcpus, list(starts)
+        )
+        simulator._reset_statistics()
+        self.warmup_starts = list(starts)
+        self.positions = list(starts)
+        if tracer:
+            tracer.complete(
+                "sim.warmup", "sim", start,
+                refs=self.warmup_executed, engine=simulator.engine,
+            )
 
     def advance(self, spans: dict[int, int]) -> int:
         """Execute streams up to per-stream target positions.
@@ -913,22 +734,123 @@ class SteppedRun:
         self.executed_refs += executed
         return executed
 
+    def start_interval(self) -> None:
+        """Anchor the next interval sample at the machine's current state."""
+        self.anchor = self.simulator.telemetry_aggregate()
+        self.anchor_refs = self.executed_refs
+
     def sample_interval(self) -> IntervalSample:
         """Close the current telemetry interval and start the next.
 
-        The sample is the statistics delta since the previous call (or
-        construction), exactly like the interval telemetry a
-        :meth:`Simulator.run` with ``interval_refs`` emits; samples are
-        collected on :attr:`intervals` and carried into the result.
+        The sample is the statistics delta since the anchor; samples
+        are collected on :attr:`intervals` and carried into the result.
         """
         current = self.simulator.telemetry_aggregate()
-        sample = Simulator._interval_delta(
-            self._anchor_refs, self.executed_refs, self._anchor, current
+        sample = _interval_delta(
+            self.anchor_refs, self.executed_refs, self.anchor, current
         )
-        self._anchor = current
-        self._anchor_refs = self.executed_refs
+        self.anchor = current
+        self.anchor_refs = self.executed_refs
         self.intervals.append(sample)
         return sample
+
+    def finish(
+        self,
+        on_interval=None,
+        checkpoint_refs: Optional[int] = None,
+        on_checkpoint=None,
+    ) -> SimulationResult:
+        """Execute every stream to its end and return the result.
+
+        Telemetry and checkpoints hook the executor's round boundaries:
+        after every full round-robin round all streams sit at positions
+        ``min(start + CHUNK * round, end)``, a state both engines reach
+        identically, which is what makes interval samples engine-
+        independent and snapshots reusable by longer runs.  Arguments
+        are those of :meth:`Simulator.run`.
+        """
+        ends = [len(s) for s in self.trace.streams]
+        interval_refs = self.interval_refs
+        prior_executed = self.executed_refs
+        chunk = _INTERLEAVE_CHUNK
+        tracer = active_tracer()
+
+        def emit_interval() -> None:
+            sample = self.sample_interval()
+            if tracer:
+                tracer.instant(
+                    "sim.interval", "sim",
+                    start_refs=sample.start_refs,
+                    end_refs=sample.end_refs,
+                    busy_cycles=sample.busy_cycles,
+                    coherence_cycles=sample.coherence_cycles,
+                )
+            if on_interval is not None:
+                on_interval(sample)
+
+        on_round = None
+        if interval_refs is not None or on_checkpoint is not None:
+            if checkpoint_refs is not None and checkpoint_refs <= 0:
+                raise ValueError("checkpoint_refs must be positive when given")
+            starts = self.warmup_starts
+            offsets = [p - s for p, s in zip(self.positions, starts)]
+            # Checkpoints are only meaningful from a round-aligned span
+            # start (a fresh run, or a resume from a saved checkpoint);
+            # from anywhere else the per-round position formula below
+            # would not hold, so checkpointing is silently disabled.
+            aligned = (
+                bool(offsets)
+                and all(offset == offsets[0] for offset in offsets)
+                and offsets[0] % chunk == 0
+            )
+            if not aligned:
+                on_checkpoint = None
+            round_index = max(
+                (offset + chunk - 1) // chunk for offset in offsets
+            ) if offsets else 0
+            # rounds 0..last_round have every stream unclamped, i.e. a
+            # longer run over the same prefix visits the same state.
+            last_round = min(
+                (end - start) // chunk for start, end in zip(starts, ends)
+            ) if ends else 0
+            last_checkpoint = prior_executed
+            if interval_refs is not None and self.anchor is None:
+                self.start_interval()
+
+            def on_round(executed_in_span: int) -> None:
+                nonlocal round_index, last_checkpoint
+                round_index += 1
+                self.executed_refs = prior_executed + executed_in_span
+                if (
+                    interval_refs is not None
+                    and self.executed_refs - self.anchor_refs >= interval_refs
+                ):
+                    emit_interval()
+                if on_checkpoint is None:
+                    return
+                due = (
+                    checkpoint_refs is not None
+                    and self.executed_refs - last_checkpoint >= checkpoint_refs
+                )
+                if (round_index == last_round or due) and (
+                    0 < round_index <= last_round
+                ):
+                    from repro.sim import snapshot
+
+                    last_checkpoint = self.executed_refs
+                    on_checkpoint(
+                        snapshot.capture_snapshot(
+                            self,
+                            [start + chunk * round_index for start in starts],
+                        )
+                    )
+
+        executed = self.executor.execute_span(self.positions, ends, on_round)
+        self.executed_refs = prior_executed + executed
+        self.positions = ends
+        if interval_refs is not None and self.executed_refs > self.anchor_refs:
+            emit_interval()
+        return self.result()
 
     def result(self) -> SimulationResult:
         """Assemble the run's measurements so far."""
@@ -940,7 +862,7 @@ class SteppedRun:
             energy=simulator.energy_model.compute(
                 simulator.chip, simulator.stats
             ),
-            warmup_references=0,
+            warmup_references=self.warmup_executed,
             per_app_cycles=simulator._per_app_cycles(self.trace),
             vm_names=list(self.trace.vm_names or []),
             intervals=self.intervals,

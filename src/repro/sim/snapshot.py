@@ -23,8 +23,8 @@ checkpoint and simulating only the tail.
 
 Reuse is guarded twice: the snapshot carries its own schema version
 (:data:`SNAPSHOT_SCHEMA_VERSION`), and it records a digest of the exact
-trace prefix it executed, which :meth:`RestoredRun.resume` re-verifies
-against the new trace.  A checkpoint can therefore never resurrect onto
+trace prefix it executed, which :func:`restore_run` re-verifies against
+the new trace.  A checkpoint can therefore never resurrect onto
 a machine, a schema, or a reference stream it was not captured from --
 in particular, raw workload generators are *not* prefix-stable in
 ``refs_total`` (see ``src/repro/workloads/README.md``), and the digest
@@ -34,7 +34,6 @@ guard is what turns that from a correctness hazard into a cache miss.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -42,7 +41,7 @@ import numpy as np
 from repro.coherence.directory import DirectoryEntry, DirectoryStats, SharerKind
 from repro.mem.cache import Cache, CacheLine, CacheStats
 from repro.sim.config import config_from_dict, config_to_dict
-from repro.sim.simulator import Simulator, SimulationResult
+from repro.sim.simulator import Run, Simulator
 from repro.sim.stats import CpuStats, EventCounter, IntervalSample, VmStats
 from repro.translation.page_table import (
     PAGE_TABLE_LEVELS,
@@ -334,25 +333,17 @@ def _global_processes(simulator: Simulator, trace: WorkloadTrace) -> list:
     return processes
 
 
-def capture_snapshot(
-    simulator: Simulator,
-    trace: WorkloadTrace,
-    *,
-    positions: list[int],
-    warmup_starts: list[int],
-    warmup_executed: int,
-    executed_refs: int,
-    intervals: list[IntervalSample],
-    interval_refs: Optional[int] = None,
-    anchor: Optional[dict] = None,
-    anchor_refs: int = 0,
-) -> dict[str, Any]:
-    """Serialize the complete mid-run machine state to a plain dict.
+def capture_snapshot(run: Run, positions: list[int]) -> dict[str, Any]:
+    """Serialize a run's complete mid-run machine state to a plain dict.
 
-    The payload is JSON-compatible (``json.dumps`` round-trips it) and
-    carries everything :func:`restore_run` needs to rebuild a simulator
-    whose continuation is bit-identical to this run's remainder.
+    ``positions`` are the round-aligned per-stream positions the machine
+    state belongs to.  The payload is JSON-compatible (``json.dumps``
+    round-trips it) and carries everything :func:`restore_run` needs to
+    rebuild a run whose continuation is bit-identical to this run's
+    remainder.
     """
+    simulator = run.simulator
+    trace = run.trace
     chip = simulator.chip
     hypervisor = simulator.hypervisor
     memory = chip.memory
@@ -407,16 +398,16 @@ def capture_snapshot(
             "prefix_digest": trace_prefix_digest(trace, positions),
         },
         "warmup": {
-            "starts": list(warmup_starts),
-            "executed": warmup_executed,
+            "starts": list(run.warmup_starts),
+            "executed": run.warmup_executed,
         },
-        "executed_refs": executed_refs,
+        "executed_refs": run.executed_refs,
         "telemetry": {
-            "interval_refs": interval_refs,
-            "anchor_refs": anchor_refs,
-            "anchor": anchor,
+            "interval_refs": run.interval_refs,
+            "anchor_refs": run.anchor_refs,
+            "anchor": run.anchor,
         },
-        "intervals": [sample.to_dict() for sample in intervals],
+        "intervals": [sample.to_dict() for sample in run.intervals],
         "stats": _encode_machine_stats(simulator.stats),
         "chip": {
             "cores": cores,
@@ -473,83 +464,16 @@ def validate_snapshot(data: dict[str, Any]) -> None:
         )
 
 
-@dataclass
-class RestoredRun:
-    """A simulator rebuilt from a snapshot, ready to continue.
+def restore_run(
+    data: dict[str, Any], trace: WorkloadTrace, engine: Optional[str] = None
+) -> Run:
+    """Rebuild a run from a snapshot, ready for :meth:`Simulator.resume`.
 
-    Produced by :func:`restore_run`; :meth:`resume` re-verifies the
-    trace prefix digest and then drives the remaining references
-    through :meth:`repro.sim.simulator.Simulator.resume`.
-    """
-
-    simulator: Simulator
-    contexts: list
-    positions: list[int]
-    warmup_starts: list[int]
-    warmup_executed: int
-    executed_refs: int
-    intervals: list[IntervalSample]
-    interval_refs: Optional[int]
-    anchor: Optional[dict]
-    anchor_refs: int
-    workload: str
-    prefix_digest: str = ""
-
-    def resume(
-        self,
-        trace: WorkloadTrace,
-        *,
-        checkpoint_refs: Optional[int] = None,
-        on_checkpoint=None,
-        verify_prefix: bool = True,
-    ) -> SimulationResult:
-        """Continue on ``trace``; bit-identical to the original run.
-
-        Raises :class:`SnapshotError` unless ``trace`` agrees with the
-        snapshot's executed prefix (same per-stream references and write
-        flags up to the restored positions).  ``verify_prefix=False``
-        skips re-hashing the prefix -- only for callers that just
-        digested the *same* trace at the *same* positions themselves
-        (the session's candidate scan).
-        """
-        for position, stream in zip(self.positions, trace.streams):
-            if position > len(stream):
-                raise SnapshotError(
-                    f"trace stream of {len(stream)} refs is shorter than "
-                    f"the restored position {position}"
-                )
-        if verify_prefix:
-            digest = trace_prefix_digest(trace, self.positions)
-            if digest != self.prefix_digest:
-                raise SnapshotError(
-                    "trace prefix does not match the snapshot's executed "
-                    "prefix; the checkpoint belongs to a different "
-                    "reference stream"
-                )
-        # Partial intervals resume from the snapshot's own anchor; the
-        # driver would otherwise re-anchor at the restore point and
-        # split an interval where the straight-through run would not.
-        anchor = self.anchor
-        if self.interval_refs is not None and anchor is None:
-            anchor = self.simulator.telemetry_aggregate()
-        return self.simulator.resume(
-            trace,
-            self.contexts,
-            list(self.positions),
-            warmup_starts=list(self.warmup_starts),
-            warmup_executed=self.warmup_executed,
-            executed_refs=self.executed_refs,
-            intervals=list(self.intervals),
-            anchor=anchor,
-            anchor_refs=self.anchor_refs,
-            interval_refs=self.interval_refs,
-            checkpoint_refs=checkpoint_refs,
-            on_checkpoint=on_checkpoint,
-        )
-
-
-def restore_run(data: dict[str, Any], engine: Optional[str] = None) -> RestoredRun:
-    """Rebuild a simulator (and its guests) from a snapshot payload.
+    Raises :class:`SnapshotError` before building any machine unless the
+    snapshot can continue on ``trace``: a current schema, positions at
+    or past the warmup starts, and the same per-stream references and
+    write flags up to the positions (the prefix digest, which also
+    rejects positions beyond the ends of ``trace``'s streams).
 
     ``engine`` selects the execution engine of the restored simulator
     exactly like the :class:`~repro.sim.simulator.Simulator`
@@ -558,6 +482,21 @@ def restore_run(data: dict[str, Any], engine: Optional[str] = None) -> RestoredR
     bit-identical continuations.
     """
     validate_snapshot(data)
+    trace_data = data["trace"]
+    positions = list(trace_data["positions"])
+    starts = list(data["warmup"]["starts"])
+    if len(starts) != len(positions) or any(
+        position < start for position, start in zip(positions, starts)
+    ):
+        raise SnapshotError(
+            f"snapshot positions {positions} are not at or past its "
+            f"warmup starts {starts}"
+        )
+    if trace_prefix_digest(trace, positions) != trace_data["prefix_digest"]:
+        raise SnapshotError(
+            "trace prefix does not match the snapshot's executed prefix; "
+            "the checkpoint belongs to a different reference stream"
+        )
     config = config_from_dict(data["config"])
     simulator = Simulator(config, engine=engine)
     hypervisor = simulator.hypervisor
@@ -656,32 +595,27 @@ def restore_run(data: dict[str, Any], engine: Optional[str] = None) -> RestoredR
     _load_cache(simulator.chip.llc, chip_data["llc"])
     _load_directory(simulator.chip.directory, chip_data["directory"])
 
-    trace_data = data["trace"]
-    contexts = [
-        processes[p] for p in trace_data["process_of_vcpu"]
-    ]
     telemetry = data["telemetry"]
-    return RestoredRun(
-        simulator=simulator,
-        contexts=contexts,
-        positions=list(trace_data["positions"]),
-        warmup_starts=list(data["warmup"]["starts"]),
-        warmup_executed=data["warmup"]["executed"],
-        executed_refs=data["executed_refs"],
-        intervals=[
-            IntervalSample.from_dict(sample) for sample in data["intervals"]
-        ],
+    run = Run(
+        simulator,
+        trace,
+        [processes[p] for p in trace_data["process_of_vcpu"]],
         interval_refs=telemetry["interval_refs"],
-        anchor=telemetry["anchor"],
-        anchor_refs=telemetry["anchor_refs"],
-        workload=data["workload"],
-        prefix_digest=trace_data["prefix_digest"],
     )
+    run.warmup_starts = starts
+    run.warmup_executed = data["warmup"]["executed"]
+    run.positions = positions
+    run.executed_refs = data["executed_refs"]
+    run.intervals = [
+        IntervalSample.from_dict(sample) for sample in data["intervals"]
+    ]
+    run.anchor = telemetry["anchor"]
+    run.anchor_refs = telemetry["anchor_refs"]
+    return run
 
 
 __all__ = [
     "SNAPSHOT_SCHEMA_VERSION",
-    "RestoredRun",
     "SnapshotError",
     "SnapshotSchemaError",
     "capture_snapshot",

@@ -37,7 +37,7 @@ from repro.sim.engine import (
     resolve_engine,
     result_fingerprint,
 )
-from repro.sim.simulator import Simulator, SteppedRun, resolve_trace
+from repro.sim.simulator import Run, Simulator, resolve_trace
 from repro.workloads import make_workload
 from tests.conftest import small_config
 from tests.test_differential import SCENARIO_MATRIX, matrix_spec, _base_config
@@ -488,7 +488,7 @@ def test_bulk_retirement_identical_on_uneven_stepped_spans(monkeypatch):
     outcomes = {}
     for engine in ENGINES:
         simulator = Simulator(config, engine=engine)
-        run = SteppedRun(simulator, trace)
+        run = Run(simulator, trace)
         for step in range(1, 12):
             run.advance({
                 s: max(run.positions[s], min(len(trace.streams[s]),

@@ -48,7 +48,8 @@ from repro.fleet.transport import (
     restore_vm_state,
 )
 from repro.sim.config import GuestConfig, SystemConfig
-from repro.sim.simulator import Simulator, SteppedRun
+from repro.sim.engine import FastPageTableWalker, FastPathMismatchError
+from repro.sim.simulator import Run, Simulator
 from repro.sim.snapshot import SnapshotError
 from repro.sim.stats import (
     IntervalSample,
@@ -278,7 +279,7 @@ class TestTransport:
             num_cpus=spec.num_cpus, protocol="hatric", seed=spec.seed
         )
         hosts = [Simulator(config, engine="fast") for _ in spec.hosts]
-        runs = [SteppedRun(host, trace) for host in hosts]
+        runs = [Run(host, trace) for host in hosts]
         return hosts, runs, layout
 
     def test_capture_restore_round_trips_across_hosts(self):
@@ -343,6 +344,24 @@ class TestDeterminism:
         )
         result = execute_fleet(request)  # raises on any divergence
         assert result.fingerprint
+
+    def test_validated_fastpath_names_the_drifting_fields(self, monkeypatch):
+        walk = FastPageTableWalker.walk
+
+        def slower_walk(self, ctx, gvp, is_write=False):
+            result = walk(self, ctx, gvp, is_write)
+            result.cycles += 1  # a fast-engine-only cost drift
+            return result
+
+        monkeypatch.setenv("REPRO_VALIDATE_FASTPATH", "1")
+        monkeypatch.setattr(FastPageTableWalker, "walk", slower_walk)
+        request = FleetRequest(
+            spec=tiny_spec(), protocol="hatric", engine="fast"
+        )
+        with pytest.raises(
+            FastPathMismatchError, match=r"host\d\.busy_cycles: reference="
+        ):
+            execute_fleet(request)
 
     def test_serial_and_parallel_sessions_agree(self):
         requests = [

@@ -187,13 +187,38 @@ class TestSnapshotRoundTrip:
 
         # serialize through JSON exactly like the on-disk store would
         payload = json.loads(json.dumps(snapshots[pick]))
-        restored = restore_run(payload, engine=restore_engine)
-        resumed = restored.resume(trace)
+        run = restore_run(payload, trace, engine=restore_engine)
+        resumed = run.simulator.resume(run)
         _assert_equal_runs(
             straight, straight_digest,
-            resumed, machine_digest(restored.simulator),
+            resumed, machine_digest(run.simulator),
         )
         _assert_conservation(resumed)
+
+    @pytest.mark.parametrize("interval_refs", [None, 450])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_restored_run_checkpoints_match_the_straight_run(
+        self, engine, interval_refs
+    ) -> None:
+        config = _config("hatric")
+        trace, snapshots, _, _ = _straight_with_snapshots(
+            config, "syn:migration-daemon/seed=7", 6000, engine,
+            warmup_refs=128, interval_refs=interval_refs, checkpoint_refs=700,
+        )
+        run = restore_run(
+            json.loads(json.dumps(snapshots[0])), trace, engine=engine
+        )
+        continued: list[dict] = []
+        run.simulator.resume(
+            run, checkpoint_refs=700, on_checkpoint=continued.append
+        )
+        assert [s["executed_refs"] for s in continued] == [
+            s["executed_refs"] for s in snapshots[1:]
+        ]
+        for straight, restored in zip(snapshots[1:], continued):
+            assert json.dumps(restored, sort_keys=True) == json.dumps(
+                straight, sort_keys=True
+            ), f"checkpoint at {straight['executed_refs']} refs differs"
 
     def test_multi_vm_roundtrip_with_mem_caps(self) -> None:
         config = _config("software", num_cpus=8)
@@ -205,11 +230,11 @@ class TestSnapshotRoundTrip:
             warmup_refs=None, interval_refs=500, checkpoint_refs=1500,
         )
         payload = json.loads(json.dumps(snapshots[0]))
-        restored = restore_run(payload, engine=ENGINE_REFERENCE)
-        resumed = restored.resume(trace)
+        run = restore_run(payload, trace, engine=ENGINE_REFERENCE)
+        resumed = run.simulator.resume(run)
         _assert_equal_runs(
             straight, straight_digest,
-            resumed, machine_digest(restored.simulator),
+            resumed, machine_digest(run.simulator),
         )
         assert resumed.stats.vms, "consolidated run must track per-VM stats"
         _assert_conservation(resumed)
@@ -222,11 +247,11 @@ class TestSnapshotRoundTrip:
         )
         for pick in (0, len(snapshots) - 1):
             payload = json.loads(json.dumps(snapshots[pick]))
-            restored = restore_run(payload)
-            resumed = restored.resume(trace)
+            run = restore_run(payload, trace)
+            resumed = run.simulator.resume(run)
             _assert_equal_runs(
                 straight, straight_digest,
-                resumed, machine_digest(restored.simulator),
+                resumed, machine_digest(run.simulator),
             )
 
     def test_xen_costs_not_readjusted_on_restore(self) -> None:
@@ -235,14 +260,14 @@ class TestSnapshotRoundTrip:
             config, "canneal", 6000, ENGINE_FAST,
             warmup_refs=None, interval_refs=None, checkpoint_refs=1500,
         )
-        restored = restore_run(json.loads(json.dumps(snapshots[0])))
+        run = restore_run(json.loads(json.dumps(snapshots[0])), trace)
         # the snapshot stores the pre-adjustment config; the restored
         # simulator must end up with the same once-adjusted costs
-        assert restored.simulator.config == Simulator(config).config
-        resumed = restored.resume(trace)
+        assert run.simulator.config == Simulator(config).config
+        resumed = run.simulator.resume(run)
         _assert_equal_runs(
             straight, straight_digest,
-            resumed, machine_digest(restored.simulator),
+            resumed, machine_digest(run.simulator),
         )
 
 
@@ -256,24 +281,34 @@ class TestSnapshotGuards:
         return trace, snapshots[-1]
 
     def test_schema_mismatch_refuses_restore(self) -> None:
-        _, snapshot = self._one_snapshot()
+        trace, snapshot = self._one_snapshot()
         stale = dict(snapshot)
         stale["schema"] = SNAPSHOT_SCHEMA_VERSION + 1
         with pytest.raises(SnapshotSchemaError):
-            restore_run(stale)
+            restore_run(stale, trace)
         with pytest.raises(SnapshotSchemaError):
             validate_snapshot({"no": "schema"})
 
     def test_trace_prefix_mismatch_refuses_resume(self) -> None:
         _, snapshot = self._one_snapshot()
-        restored = restore_run(snapshot)
         config = _config("hatric")
         other = resolve_trace(
             make_workload("syn:migration-daemon/seed=8"),
             config.num_cpus, config.seed, 5000,
         )
         with pytest.raises(SnapshotError):
-            restored.resume(other)
+            restore_run(snapshot, other)
+
+    def test_positions_outside_the_main_phase_refuse_restore(self) -> None:
+        trace, snapshot = self._one_snapshot()
+        for positions in (
+            [start - 1 for start in snapshot["warmup"]["starts"]],
+            [len(stream) + 32 for stream in trace.streams],
+        ):
+            tampered = json.loads(json.dumps(snapshot))
+            tampered["trace"]["positions"] = positions
+            with pytest.raises(SnapshotError):
+                restore_run(tampered, trace)
 
     def test_prefix_digest_depends_on_position_and_content(self) -> None:
         config = _config("hatric")
