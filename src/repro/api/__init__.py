@@ -28,7 +28,6 @@ from repro.api.session import (
     SessionStats,
     default_session,
     execute_request,
-    execute_request_checkpointed,
     reset_default_session,
 )
 from repro.api.sweep import Sweep, SweepCell, SweepResult
@@ -50,6 +49,5 @@ __all__ = [
     "default_session",
     "encode_result",
     "execute_request",
-    "execute_request_checkpointed",
     "reset_default_session",
 ]

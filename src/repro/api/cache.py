@@ -1,8 +1,10 @@
 """On-disk result cache and result (de)serialization.
 
 Results are stored one JSON file per :attr:`RunRequest.cache_key` so
-they survive across processes and sessions.  The encoders rebuild real
-:class:`~repro.sim.simulator.SimulationResult` /
+they survive across processes and sessions.  :class:`JsonStore` is the
+store core (directory, read path, prune) that :class:`ResultCache` and
+:class:`~repro.api.checkpoint.CheckpointStore` share.  The encoders
+rebuild real :class:`~repro.sim.simulator.SimulationResult` /
 :class:`~repro.sim.remap_anatomy.AnatomyRow` objects, so cached results
 are drop-in replacements for freshly simulated ones (normalization,
 event lookups and per-app accounting all keep working).
@@ -94,49 +96,6 @@ def default_cache_dir() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg).expanduser() if xdg else Path.home() / ".cache"
     return base / "repro-hatric"
-
-
-def file_age_at_least(path: Path, now: float, age_seconds: float) -> Optional[bool]:
-    """Whether ``path``'s mtime is at least ``age_seconds`` before ``now``.
-
-    Returns None when the file vanished (a concurrent writer's rename or
-    another pruner got there first) -- callers must then skip the file
-    entirely rather than count it either way.
-    """
-    try:
-        mtime = path.stat().st_mtime
-    except OSError:
-        return None
-    return now - mtime >= age_seconds
-
-
-def prune_orphan_tmp_files(
-    directory: Path,
-    min_age_seconds: float,
-    tmp_grace_seconds: float,
-) -> tuple[int, int]:
-    """Delete abandoned ``*.tmp`` files left by crashed writers.
-
-    A temp file is only removed once it is older than *both*
-    ``min_age_seconds`` and ``tmp_grace_seconds``, so even a
-    ``min_age_seconds=0`` prune (tests, ``--min-age 0``) cannot delete
-    the temp file a live :func:`write_text_atomic` is about to rename.
-    Returns ``(removed, failed)``.
-    """
-    removed = failed = 0
-    cutoff = max(min_age_seconds, tmp_grace_seconds)
-    now = time.time()
-    for path in sorted(directory.glob("*.tmp")):
-        old_enough = file_age_at_least(path, now, cutoff)
-        if not old_enough:  # too young, or already gone (None)
-            continue
-        try:
-            path.unlink()
-            removed += 1
-        except OSError as error:
-            logger.warning("prune failed to delete %s: %s", path, error)
-            failed += 1
-    return removed, failed
 
 
 def write_text_atomic(path: Path, text: str) -> None:
@@ -285,47 +244,152 @@ def decode_result(data: Mapping[str, Any]) -> AnyResult:
     )
 
 
-# ----------------------------------------------------------------------
-# the cache itself
-# ----------------------------------------------------------------------
-class ResultCache:
-    """One-file-per-result JSON cache keyed by request cache keys."""
 
-    def __init__(self, directory: Optional[Union[str, Path]] = None) -> None:
-        self.directory = (
-            Path(directory).expanduser() if directory else default_cache_dir()
-        )
+
+# ----------------------------------------------------------------------
+# the stores
+# ----------------------------------------------------------------------
+#: What a read treats as an undecodable entry (a miss) rather than a bug.
+_UNDECODABLE = (OSError, json.JSONDecodeError, CacheDecodeError)
+
+
+class JsonStore:
+    """One JSON file per entry in one directory: the core of both stores.
+
+    Owns the directory, the miss counters, the one read path and the
+    maintenance passes (``len``, :meth:`clear`, :meth:`prune`) that the
+    result cache and the checkpoint store share.  Subclasses name their
+    files and supply :meth:`_check`, which turns parsed JSON into an
+    entry or raises :class:`StaleSchemaError` / :class:`CacheDecodeError`;
+    they may also supply :meth:`_surplus`.
+    """
+
+    def __init__(self, directory: Union[str, Path]) -> None:
+        self.directory = Path(directory).expanduser()
         #: per-instance miss accounting: schema-mismatched entries vs
         #: unreadable/corrupt ones (tests and diagnostics read these).
         self.stale_schema_misses = 0
         self.decode_error_misses = 0
+
+    def _surplus(self, healthy: list[Path]) -> list[Path]:
+        """Healthy entries :meth:`prune` deletes anyway (none here)."""
+        return []
+
+    def _paths(self, pattern: str = "*.json") -> list[Path]:
+        if not self.directory.is_dir():
+            return []
+        return sorted(self.directory.glob(pattern))
+
+    def _decode(self, path: Path) -> Any:
+        with path.open("r", encoding="utf-8") as handle:
+            return self._check(json.load(handle))
+
+    def _read(self, path: Path) -> Any:
+        """The entry stored at ``path``, or None.
+
+        A missing file is a plain miss.  Unreadable, corrupt and
+        schema-mismatched entries are counted, logged and treated as
+        misses rather than errors, so a torn file never wedges the
+        store -- but only those: a ``KeyError``/``TypeError`` out of a
+        *current-schema* entry is a (de)serializer bug and propagates.
+        """
+        try:
+            return self._decode(path)
+        except FileNotFoundError:
+            return None
+        except StaleSchemaError as error:
+            self.stale_schema_misses += 1
+            logger.warning("cache miss (stale schema) for %s: %s", path, error)
+        except _UNDECODABLE as error:
+            self.decode_error_misses += 1
+            logger.warning("cache miss (undecodable) for %s: %s", path, error)
+        return None
+
+    def __len__(self) -> int:
+        """Number of entry files currently on disk."""
+        return len(self._paths())
+
+    def clear(self) -> int:
+        """Delete every entry; returns how many were removed."""
+        removed = 0
+        for path in self._paths():
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:
+                pass
+        return removed
+
+    def prune(self, min_age_seconds: float = 0.0) -> PruneStats:
+        """Delete stale, undecodable and surplus entries.
+
+        Reads treat stale and undecodable entries as misses but leave
+        them on disk; this pass removes them, so a long-lived directory
+        sheds dead weight across schema bumps.  It classifies entries
+        without counting or logging misses: a prune is not a lookup.
+
+        Nothing younger than ``min_age_seconds`` is deleted, so a prune
+        racing a *live server* cannot delete an in-flight write (the CLI
+        defaults to :data:`DEFAULT_PRUNE_MIN_AGE_SECONDS`); such entries
+        count as ``kept``.  Abandoned ``*.tmp`` files from crashed
+        writers go once older than both that cutoff and
+        :data:`TMP_GRACE_SECONDS`.  A failed ``unlink`` counts as
+        ``failed`` (a surplus entry left behind also stays ``kept``),
+        and a file that vanishes mid-pass counts nowhere.
+        """
+        healthy: list[Path] = []
+        doomed: list[tuple[Path, float, str]] = []
+        for path in self._paths():
+            try:
+                self._decode(path)
+            except FileNotFoundError:
+                continue  # lost a race with another pruner/clear
+            except _UNDECODABLE:
+                doomed.append((path, min_age_seconds, "stale"))
+            else:
+                healthy.append(path)
+        surplus = self._surplus(healthy)
+        kept = len(healthy) - len(surplus)
+        tmp_cutoff = max(min_age_seconds, TMP_GRACE_SECONDS)
+        doomed += [(path, min_age_seconds, "surplus") for path in surplus]
+        doomed += [(path, tmp_cutoff, "tmp") for path in self._paths("*.tmp")]
+        removed = failed = 0
+        now = time.time()
+        for path, cutoff, kind in doomed:
+            try:
+                young = now - path.stat().st_mtime < cutoff
+            except OSError:
+                continue  # vanished mid-pass
+            if young:
+                if kind != "tmp":
+                    kept += 1
+                continue
+            try:
+                path.unlink()
+                removed += 1
+            except OSError as error:
+                logger.warning("prune failed to delete %s: %s", path, error)
+                failed += 1
+                if kind == "surplus":
+                    kept += 1  # still a usable checkpoint
+        return PruneStats(removed, kept, failed)
+
+
+class ResultCache(JsonStore):
+    """One-file-per-result JSON cache keyed by request cache keys."""
+
+    _check = staticmethod(decode_result)
+
+    def __init__(self, directory: Optional[Union[str, Path]] = None) -> None:
+        super().__init__(directory or default_cache_dir())
 
     def path_for(self, key: str) -> Path:
         """Cache file path for one key."""
         return self.directory / f"{key}.json"
 
     def get(self, key: str) -> Optional[AnyResult]:
-        """Return the cached result for ``key``, or None.
-
-        Unreadable, corrupt, and schema-mismatched entries are treated
-        as misses rather than errors, so a truncated write never wedges
-        the cache -- but only those: a ``KeyError``/``TypeError`` out of
-        a *current-schema* entry is a (de)serializer bug and propagates.
-        """
-        path = self.path_for(key)
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                return decode_result(json.load(handle))
-        except FileNotFoundError:
-            return None
-        except StaleSchemaError as error:
-            self.stale_schema_misses += 1
-            logger.warning("cache miss (stale schema) for %s: %s", path, error)
-            return None
-        except (OSError, json.JSONDecodeError, CacheDecodeError) as error:
-            self.decode_error_misses += 1
-            logger.warning("cache miss (undecodable) for %s: %s", path, error)
-            return None
+        """Return the cached result for ``key``, or None on a miss."""
+        return self._read(self.path_for(key))
 
     def put(self, key: str, result: AnyResult) -> Path:
         """Store ``result`` under ``key`` (atomically) and return its path."""
@@ -341,12 +405,6 @@ class ResultCache:
         """
         return self.get(key) is not None
 
-    def __len__(self) -> int:
-        """Number of entry files currently on disk."""
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for _ in self.directory.glob("*.json"))
-
     def fleet_traffic(self) -> dict[str, int]:
         """Aggregate migration-snapshot traffic across cached fleet runs.
 
@@ -356,9 +414,7 @@ class ResultCache:
         Returns ``{"entries", "captures", "restores", "bytes"}``.
         """
         totals = {"entries": 0, "captures": 0, "restores": 0, "bytes": 0}
-        if not self.directory.is_dir():
-            return totals
-        for path in sorted(self.directory.glob("fleet:*.json")):
+        for path in self._paths("fleet:*.json"):
             try:
                 with path.open("r", encoding="utf-8") as handle:
                     data = json.load(handle)
@@ -374,74 +430,3 @@ class ResultCache:
             for key in ("captures", "restores", "bytes"):
                 totals[key] += int(transport.get(key, 0))
         return totals
-
-    def clear(self) -> int:
-        """Delete every cached entry; returns how many were removed."""
-        removed = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-    def prune(
-        self,
-        min_age_seconds: float = 0.0,
-        tmp_grace_seconds: float = TMP_GRACE_SECONDS,
-    ) -> PruneStats:
-        """Delete stale (schema-mismatched) and undecodable entries.
-
-        :meth:`get` already treats such entries as misses, but a miss
-        leaves the file in place forever; this pass removes them so a
-        long-lived cache directory does not accumulate dead weight
-        across schema bumps.  Returns :class:`PruneStats`; a stale entry
-        whose ``unlink`` fails counts as ``failed``, never as pruned or
-        kept.
-
-        ``min_age_seconds`` scopes deletion to entries whose mtime is at
-        least that old: pruning a directory a *live server* is writing
-        to must not race an in-flight write into deletion (the CLI
-        defaults to :data:`DEFAULT_PRUNE_MIN_AGE_SECONDS`).  Too-young
-        stale entries count as ``kept``.  Abandoned ``*.tmp`` files from
-        crashed writers are removed once older than both the cutoff and
-        ``tmp_grace_seconds`` (counted in ``removed``); younger ones are
-        presumed to belong to a live :func:`write_text_atomic` and are
-        never touched, regardless of ``min_age_seconds``.
-        """
-        removed = kept = failed = 0
-        if not self.directory.is_dir():
-            return PruneStats(0, 0, 0)
-        now = time.time()
-        for path in sorted(self.directory.glob("*.json")):
-            stale = False
-            try:
-                with path.open("r", encoding="utf-8") as handle:
-                    decode_result(json.load(handle))
-            except FileNotFoundError:
-                continue  # lost a race with another pruner/clear
-            except (OSError, json.JSONDecodeError, CacheDecodeError):
-                stale = True
-            if stale:
-                old_enough = file_age_at_least(path, now, min_age_seconds)
-                if old_enough is None:
-                    continue
-                if not old_enough:
-                    kept += 1
-                    continue
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError as error:
-                    logger.warning(
-                        "prune failed to delete %s: %s", path, error
-                    )
-                    failed += 1
-            else:
-                kept += 1
-        tmp_removed, tmp_failed = prune_orphan_tmp_files(
-            self.directory, min_age_seconds, tmp_grace_seconds
-        )
-        return PruneStats(removed + tmp_removed, kept, failed + tmp_failed)

@@ -14,8 +14,9 @@ Every file is double-stamped -- with the snapshot payload's own
 cache's :data:`~repro.api.request.CACHE_SCHEMA_VERSION` (any simulator
 behaviour change invalidates mid-run machine state just as it
 invalidates results).  :meth:`CheckpointStore.load` refuses entries
-stamped with any other combination, and :meth:`CheckpointStore.prune`
-deletes them instead of ignoring them forever.
+stamped with any other combination, and ``prune`` (shared with the
+result cache through :class:`~repro.api.cache.JsonStore`) deletes them
+instead of ignoring them forever.
 """
 
 from __future__ import annotations
@@ -23,19 +24,16 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import time
 from pathlib import Path
 from typing import Any, Optional, Union
 
 from repro.api.cache import (
-    TMP_GRACE_SECONDS,
-    PruneStats,
-    file_age_at_least,
-    prune_orphan_tmp_files,
+    CacheDecodeError,
+    JsonStore,
+    StaleSchemaError,
     write_text_atomic,
 )
 from repro.api.request import CACHE_SCHEMA_VERSION, RunRequest
-from repro.obs.log import get_logger
 from repro.sim.config import config_to_dict
 from repro.sim.snapshot import (
     SNAPSHOT_SCHEMA_VERSION,
@@ -53,8 +51,6 @@ CHECKPOINT_SUBDIR = "checkpoints"
 PRUNE_KEEP_PER_FAMILY = 8
 
 _FILE_PATTERN = re.compile(r"^(?P<family>[0-9a-f]{64})-(?P<refs>\d{12})\.json$")
-
-logger = get_logger(__name__)
 
 
 def checkpoint_family_key(request: RunRequest) -> str:
@@ -88,23 +84,43 @@ def checkpoint_family_key(request: RunRequest) -> str:
     ).hexdigest()
 
 
-class CheckpointStore:
+class CheckpointStore(JsonStore):
     """One-file-per-checkpoint JSON store keyed by (family, refs)."""
-
-    def __init__(self, directory: Union[str, Path]) -> None:
-        self.directory = Path(directory).expanduser()
-        #: per-instance miss accounting, mirroring
-        #: :class:`repro.api.cache.ResultCache`.
-        self.stale_schema_misses = 0
-        self.decode_error_misses = 0
 
     def path_for(self, family: str, executed_refs: int) -> Path:
         """Checkpoint file path for one (family, executed refs) pair."""
         return self.directory / f"{family}-{executed_refs:012d}.json"
 
-    # ------------------------------------------------------------------
-    # save / load
-    # ------------------------------------------------------------------
+    @staticmethod
+    def _check(data: Any) -> dict[str, Any]:
+        if not isinstance(data, dict):
+            raise CacheDecodeError("checkpoint is not a JSON object")
+        if data.get("cache_schema") != CACHE_SCHEMA_VERSION:
+            raise StaleSchemaError(
+                f"checkpoint has cache schema {data.get('cache_schema')!r}, "
+                f"current code expects {CACHE_SCHEMA_VERSION}"
+            )
+        try:
+            validate_snapshot(data)
+        except SnapshotError as error:
+            raise CacheDecodeError(str(error)) from error
+        return data
+
+    def _surplus(self, healthy: list[Path]) -> list[Path]:
+        """All but each family's :data:`PRUNE_KEEP_PER_FAMILY` largest."""
+        families: dict[str, list[tuple[int, Path]]] = {}
+        for path in healthy:
+            match = _FILE_PATTERN.match(path.name)
+            if match is not None:
+                families.setdefault(match.group("family"), []).append(
+                    (int(match.group("refs")), path)
+                )
+        return [
+            path
+            for entries in families.values()
+            for _, path in sorted(entries, reverse=True)[PRUNE_KEEP_PER_FAMILY:]
+        ]
+
     def save(self, family: str, snapshot: dict[str, Any]) -> Path:
         """Persist a snapshot (atomically) under its family; return path."""
         validate_snapshot(snapshot)
@@ -117,146 +133,24 @@ class CheckpointStore:
         return path
 
     def load(self, path: Union[str, Path]) -> Optional[dict[str, Any]]:
-        """Load and validate one checkpoint file.
+        """Load and validate one checkpoint file; None on a miss.
 
-        Returns None for unreadable, corrupt or schema-mismatched
-        entries (callers treat those as cache misses; :meth:`prune`
-        deletes them).  Schema mismatches -- possibly well-formed
-        entries from a different code version -- are counted and logged
-        separately from undecodable files.
+        Schema mismatches -- possibly well-formed entries from a
+        different code version -- are counted as stale misses,
+        unreadable, corrupt or invalid snapshots as decode misses
+        (:meth:`~repro.api.cache.JsonStore.prune` deletes both).
         """
-        try:
-            with Path(path).open("r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            self.decode_error_misses += 1
-            return None
-        if not isinstance(data, dict):
-            self.decode_error_misses += 1
-            return None
-        if data.get("cache_schema") != CACHE_SCHEMA_VERSION:
-            self.stale_schema_misses += 1
-            logger.warning(
-                "checkpoint miss (stale schema %r, expected %r) for %s",
-                data.get("cache_schema"), CACHE_SCHEMA_VERSION, path,
-            )
-            return None
-        try:
-            validate_snapshot(data)
-        except SnapshotError:
-            self.decode_error_misses += 1
-            return None
-        return data
+        return self._read(Path(path))
 
-    # ------------------------------------------------------------------
-    # lookup
-    # ------------------------------------------------------------------
     def candidates(self, family: str) -> list[tuple[int, Path]]:
         """``(executed_refs, path)`` pairs of a family, longest first."""
-        if not self.directory.is_dir():
-            return []
         found: list[tuple[int, Path]] = []
-        for path in self.directory.glob(f"{family}-*.json"):
+        for path in self._paths(f"{family}-*.json"):
             match = _FILE_PATTERN.match(path.name)
             if match is not None and match.group("family") == family:
                 found.append((int(match.group("refs")), path))
         found.sort(key=lambda pair: pair[0], reverse=True)
         return found
-
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        """Number of checkpoint files currently on disk."""
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for _ in self.directory.glob("*.json"))
-
-    def clear(self) -> int:
-        """Delete every checkpoint; returns how many were removed."""
-        removed = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-    def prune(
-        self,
-        keep_per_family: int = PRUNE_KEEP_PER_FAMILY,
-        min_age_seconds: float = 0.0,
-        tmp_grace_seconds: float = TMP_GRACE_SECONDS,
-    ) -> PruneStats:
-        """Delete stale, undecodable and surplus checkpoints.
-
-        Returns :class:`~repro.api.cache.PruneStats`.  Mirrors
-        :meth:`repro.api.cache.ResultCache.prune` for entries that
-        :meth:`load` would reject as misses, and additionally bounds
-        disk use by keeping only the ``keep_per_family`` largest-refs
-        checkpoints of each family (complete machine snapshots are
-        large, and every checkpointed run leaves at least one behind).
-        An entry whose ``unlink`` fails counts as ``failed``, never as
-        pruned; healthy surplus entries that fail to delete stay
-        ``kept`` as well (they are still usable checkpoints).
-
-        ``min_age_seconds`` and ``tmp_grace_seconds`` carry the same
-        live-server guarantees as the result cache's prune: nothing
-        younger than ``min_age_seconds`` is deleted (stale *or* surplus
-        -- a checkpoint a live run just saved may be the one it is
-        about to extend), and orphaned ``*.tmp`` files need to clear
-        both cutoffs.
-        """
-        removed = kept = failed = 0
-        if not self.directory.is_dir():
-            return PruneStats(0, 0, 0)
-        now = time.time()
-        families: dict[str, list[int]] = {}
-        for path in sorted(self.directory.glob("*.json")):
-            if not path.exists():
-                continue  # lost a race with another pruner/clear
-            if self.load(path) is None:
-                old_enough = file_age_at_least(path, now, min_age_seconds)
-                if old_enough is None:
-                    continue
-                if not old_enough:
-                    kept += 1
-                    continue
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError as error:
-                    logger.warning(
-                        "prune failed to delete %s: %s", path, error
-                    )
-                    failed += 1
-                continue
-            kept += 1
-            match = _FILE_PATTERN.match(path.name)
-            if match is not None:
-                families.setdefault(match.group("family"), []).append(
-                    int(match.group("refs"))
-                )
-        for family, refs in families.items():
-            for surplus in sorted(refs, reverse=True)[keep_per_family:]:
-                surplus_path = self.path_for(family, surplus)
-                if not file_age_at_least(surplus_path, now, min_age_seconds):
-                    continue  # too young (live run's own state), or gone
-                try:
-                    surplus_path.unlink()
-                    removed += 1
-                    kept -= 1
-                except OSError as error:
-                    logger.warning(
-                        "prune failed to delete %s: %s", surplus_path, error
-                    )
-                    failed += 1
-        tmp_removed, tmp_failed = prune_orphan_tmp_files(
-            self.directory, min_age_seconds, tmp_grace_seconds
-        )
-        return PruneStats(removed + tmp_removed, kept, failed + tmp_failed)
 
 
 __all__ = [

@@ -51,6 +51,7 @@ from repro.sim.engine import (
 )
 from repro.sim.remap_anatomy import single_remap_cost
 from repro.sim.simulator import (
+    Run,
     SimulationResult,
     Simulator,
     resolve_trace,
@@ -91,37 +92,79 @@ def _worker_pool(max_workers: Optional[int]) -> ProcessPoolExecutor:
     )
 
 
-def execute_request(request: RunRequest, on_interval=None) -> AnyResult:
-    """Execute one request from scratch (no caching).
+def execute_request(
+    request: RunRequest,
+    on_interval=None,
+    store_directory: Optional[str] = None,
+) -> AnyResult:
+    """Execute one request (no result caching).
 
     Module-level so :class:`concurrent.futures.ProcessPoolExecutor` can
     pickle it into worker processes.
 
     ``on_interval``, when given, receives each freshly-emitted
-    :class:`~repro.sim.stats.IntervalSample` during execution (requests
-    without ``interval_refs`` emit nothing); the serve layer uses it to
-    stream live progress.  Observation only -- the returned result is
-    identical with or without it.
+    :class:`~repro.sim.stats.IntervalSample` of a run started from
+    scratch; the serve layer uses it to stream live progress.
+    Observation only -- the result is identical with or without it.
 
-    When ``REPRO_VALIDATE_FASTPATH=1`` is set, a fast-engine result is
-    checked against a reference-engine run before it is returned (see
-    :func:`_check_against_reference`).
+    ``store_directory`` names a machine-checkpoint store.  With one and
+    an absolute warmup, the run starts from the longest stored
+    checkpoint of its family whose executed trace prefix matches the
+    request's trace, simulating only the tail, and leaves its final
+    reusable checkpoint behind for the next, longer request.  Results
+    are bit-identical either way (the fuzz suite enforces it): the
+    schema stamps, the warmup-start vector and a digest of the executed
+    reference prefix turn any other checkpoint into a cold run.
+
+    When ``REPRO_VALIDATE_FASTPATH=1`` is set, a fast-engine result
+    (cold or restored) is checked against a reference-engine run before
+    it is returned (see :func:`_check_against_reference`).
     """
     if request.experiment == EXPERIMENT_REMAP:
         return single_remap_cost(request.config)
     tracer = active_tracer()
     start = tracer.now() if tracer else 0.0
     workload = make_workload(request.workload)
-    simulator = Simulator(request.config, engine=request.engine or None)
-    try:
-        result = simulator.run(
-            workload,
-            warmup_fraction=request.warmup_fraction,
-            refs_total=request.refs_total,
-            warmup_refs=request.warmup_refs,
-            interval_refs=request.interval_refs,
-            on_interval=on_interval,
+    run = on_checkpoint = None
+    # A fraction warmup moves its boundary with refs_total, so no other
+    # request could ever restore its multi-megabyte snapshots: it runs
+    # cold and saves nothing.  Sweeps that want reuse set
+    # ``warmup_refs`` (or ``warmup_fraction=0``).
+    if store_directory is not None and (
+        request.warmup_refs is not None or request.warmup_fraction == 0.0
+    ):
+        store = CheckpointStore(store_directory)
+        family = checkpoint_family_key(request)
+        workload = resolve_trace(
+            workload, request.config.num_cpus, request.config.seed,
+            request.refs_total,
         )
+        run = _restore_from(store, family, request, workload)
+
+        def on_checkpoint(snapshot: dict) -> None:
+            CHECKPOINT_COUNTERS["saved"] += 1
+            store.save(family, snapshot)
+
+    if run is not None:
+        CHECKPOINT_COUNTERS["restored"] += 1
+        simulator = run.simulator
+    else:
+        if store_directory is not None:
+            CHECKPOINT_COUNTERS["cold"] += 1
+        simulator = Simulator(request.config, engine=request.engine or None)
+    try:
+        if run is not None:
+            result = simulator.resume(run, on_checkpoint=on_checkpoint)
+        else:
+            result = simulator.run(
+                workload,
+                warmup_fraction=request.warmup_fraction,
+                refs_total=request.refs_total,
+                warmup_refs=request.warmup_refs,
+                interval_refs=request.interval_refs,
+                on_interval=on_interval,
+                on_checkpoint=on_checkpoint,
+            )
     finally:
         if tracer:
             tracer.complete(
@@ -131,103 +174,40 @@ def execute_request(request: RunRequest, on_interval=None) -> AnyResult:
     return _check_against_reference(request, result, simulator.engine)
 
 
-def execute_request_checkpointed(
-    request: RunRequest,
-    store_directory: str,
-    checkpoint_refs: Optional[int] = None,
-) -> AnyResult:
-    """Execute one request through the machine-checkpoint store.
+def _restore_from(
+    store: CheckpointStore, family: str, request: RunRequest, trace
+) -> Optional[Run]:
+    """The run of the longest reusable checkpoint of ``family``, or None.
 
-    Identical results to :func:`execute_request` (bit-for-bit; the fuzz
-    suite enforces it), but the run may start from the longest stored
-    checkpoint of its family whose executed trace prefix matches the
-    request's trace, simulating only the tail -- and it leaves new
-    round-aligned checkpoints behind for the next, longer request.
-
-    Reuse is guarded by the snapshot's schema stamps, its warmup-start
-    vector, and a digest of the exact executed reference prefix, so a
-    checkpoint from a different machine, schema or reference stream
-    degrades to a cold run rather than a wrong result.
+    A checkpoint's filename-level executed count bounds how far its
+    positions can reach, so length-infeasible candidates (from longer
+    sweeps of the family) are dropped *before* the scan limit -- a
+    shorter re-run must still find its own reusable checkpoint.
     """
-    if request.experiment == EXPERIMENT_REMAP:
-        return single_remap_cost(request.config)
-    workload = make_workload(request.workload)
-    if request.warmup_refs is None and request.warmup_fraction > 0.0:
-        # A fraction-based warmup boundary moves with refs_total, so no
-        # *other* request can ever match this family's warmup vector
-        # (and an identical rerun is already served by the result
-        # cache).  Saving multi-megabyte snapshots that can never be
-        # restored would make checkpoints=True strictly slower than
-        # off; run cold instead.  Sweeps that want reuse set
-        # ``warmup_refs`` (or ``warmup_fraction=0``).
-        CHECKPOINT_COUNTERS["cold"] += 1
-        return execute_request(request)
-
-    store = CheckpointStore(store_directory)
-    family = checkpoint_family_key(request)
-    trace = resolve_trace(
-        workload, request.config.num_cpus, request.config.seed,
-        request.refs_total,
-    )
-    starts = warmup_starts(
-        trace, request.warmup_fraction, request.warmup_refs
-    )
-    lengths = [len(s) for s in trace.streams]
-
-    def on_checkpoint(snapshot: dict) -> None:
-        CHECKPOINT_COUNTERS["saved"] += 1
-        store.save(family, snapshot)
-
-    # A checkpoint's filename-level executed count bounds how far its
-    # positions can reach, so length-infeasible candidates (from longer
-    # sweeps of the family) are dropped *before* the scan limit -- a
-    # shorter re-run must still find its own reusable checkpoint.
-    main_capacity = sum(lengths) - sum(starts)
+    starts = warmup_starts(trace, request.warmup_fraction, request.warmup_refs)
+    capacity = sum(len(stream) for stream in trace.streams) - sum(starts)
     feasible = [
-        candidate
-        for candidate in store.candidates(family)
-        if candidate[0] <= main_capacity
+        path for executed, path in store.candidates(family)
+        if executed <= capacity
     ]
-    run = None
-    for executed, path in feasible[:CANDIDATE_SCAN_LIMIT]:
+    for path in feasible[:CANDIDATE_SCAN_LIMIT]:
         data = store.load(path)
         if data is None:
             continue
         try:
             if data["warmup"]["starts"] != starts:
                 continue
-            run = restore_run(data, trace, engine=request.engine or None)
+            return restore_run(data, trace, engine=request.engine or None)
         except (SnapshotError, KeyError, TypeError, ValueError):
             # schema-valid but shape-corrupt payloads, and checkpoints
             # of another reference stream, degrade to the next
             # candidate (ultimately a cold run), never to a crash
             continue
-        break
-
-    if run is not None:
-        CHECKPOINT_COUNTERS["restored"] += 1
-        simulator = run.simulator
-        result = simulator.resume(
-            run, checkpoint_refs=checkpoint_refs, on_checkpoint=on_checkpoint
-        )
-    else:
-        CHECKPOINT_COUNTERS["cold"] += 1
-        simulator = Simulator(request.config, engine=request.engine or None)
-        result = simulator.run(
-            trace,
-            warmup_fraction=request.warmup_fraction,
-            warmup_refs=request.warmup_refs,
-            interval_refs=request.interval_refs,
-            checkpoint_refs=checkpoint_refs,
-            on_checkpoint=on_checkpoint,
-        )
-    return _check_against_reference(request, result, simulator.engine)
+    return None
 
 
 def _execute_chain(
-    requests: Sequence[RunRequest],
-    store_directory: str,
-    checkpoint_refs: Optional[int] = None,
+    requests: Sequence[RunRequest], store_directory: str
 ) -> list[AnyResult]:
     """Execute one checkpoint family's requests serially, in order.
 
@@ -236,7 +216,7 @@ def _execute_chain(
     can reuse the others' checkpoints.
     """
     return [
-        execute_request_checkpointed(request, store_directory, checkpoint_refs)
+        execute_request(request, store_directory=store_directory)
         for request in requests
     ]
 
@@ -348,9 +328,6 @@ class Session:
             families run serially inside one worker (shortest request
             first) while distinct families fan out in parallel, so
             within-family reuse survives process fan-out.
-        checkpoint_refs: additionally capture a checkpoint roughly
-            every this many retired references (None = only the final
-            reusable round of each run is checkpointed).
     """
 
     def __init__(
@@ -359,7 +336,6 @@ class Session:
         max_workers: Optional[int] = None,
         executor: Callable[[RunRequest], AnyResult] = execute_request,
         checkpoints: bool = False,
-        checkpoint_refs: Optional[int] = None,
     ) -> None:
         if cache_dir is True:
             self.disk_cache: Optional[ResultCache] = ResultCache()
@@ -369,7 +345,6 @@ class Session:
             self.disk_cache = None
         self.max_workers = max_workers
         self.executor = executor
-        self.checkpoint_refs = checkpoint_refs
         self.checkpoint_store: Optional[CheckpointStore] = None
         if checkpoints:
             if self.disk_cache is None:
@@ -380,8 +355,8 @@ class Session:
             if executor is not execute_request:
                 raise ValueError(
                     "checkpoints=True is incompatible with a custom "
-                    "executor: checkpointed execution replaces the "
-                    "executor with execute_request_checkpointed"
+                    "executor: checkpointed execution runs "
+                    "execute_request with the checkpoint store"
                 )
             self.checkpoint_store = CheckpointStore(
                 self.disk_cache.directory / CHECKPOINT_SUBDIR
@@ -590,7 +565,6 @@ class Session:
         runner = functools.partial(
             _execute_chain,
             store_directory=str(self.checkpoint_store.directory),
-            checkpoint_refs=self.checkpoint_refs,
         )
         chain_outputs = self._fan_out(
             runner, [[todo[i] for i in chain] for chain in ordered]
@@ -630,22 +604,18 @@ class Session:
         sections without a configured store report all-zero stats.
         ``min_age_seconds`` scopes deletion to entries at least that
         old, so pruning a directory a live server is writing to cannot
-        delete in-flight work (see :meth:`ResultCache.prune`).
+        delete in-flight work (see :meth:`~repro.api.cache.JsonStore.prune`).
         """
+        stores = {"results": self.disk_cache, "checkpoints": self.checkpoint_store}
         # ``is not None``: both stores define __len__, so an *empty*
         # store is falsy and a bare truthiness test would skip it.
-        empty = PruneStats(0, 0, 0)
-        results = (
-            self.disk_cache.prune(min_age_seconds=min_age_seconds)
-            if self.disk_cache is not None
-            else empty
-        )
-        checkpoints = (
-            self.checkpoint_store.prune(min_age_seconds=min_age_seconds)
-            if self.checkpoint_store is not None
-            else empty
-        )
-        return {"results": results, "checkpoints": checkpoints}
+        return {
+            name: (
+                store.prune(min_age_seconds) if store is not None
+                else PruneStats(0, 0, 0)
+            )
+            for name, store in stores.items()
+        }
 
 
 _DEFAULT_SESSION: Optional[Session] = None

@@ -249,24 +249,24 @@ class Sweep:
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
-    def run(
-        self,
-        session: Optional[Session] = None,
-        scale: Optional[ExperimentScale] = None,
-    ) -> SweepResult:
-        """Simulate the grid through a session and return the result."""
-        session = session if session is not None else default_session()
-        scale = scale or ExperimentScale.from_environment()
+    def batch(self, scale: ExperimentScale) -> list[RunRequest]:
+        """The grid's requests, then each point's baseline when normalizing.
+
+        :meth:`run` executes it through a session; ``repro serve`` admits
+        each request itself and hands the results to :meth:`assemble`.
+        """
         points = self.points()
-        requests = [self.request_for(coords, scale) for coords in points]
-        batch = list(requests)
+        batch = [self.request_for(coords, scale) for coords in points]
         if self.baseline_overrides:
-            baseline_requests = [
+            batch += [
                 self.request_for({**coords, **self.baseline_overrides}, scale)
                 for coords in points
             ]
-            batch += baseline_requests
-        results = session.run_batch(batch)
+        return batch
+
+    def assemble(self, results: Sequence[SimulationResult]) -> SweepResult:
+        """The sweep result of a :meth:`batch`'s results, in batch order."""
+        points = self.points()
         cells = []
         for index, coords in enumerate(points):
             baseline = (
@@ -276,3 +276,13 @@ class Sweep:
                 SweepCell(coords=coords, result=results[index], baseline=baseline)
             )
         return SweepResult(self.axes, cells)
+
+    def run(
+        self,
+        session: Optional[Session] = None,
+        scale: Optional[ExperimentScale] = None,
+    ) -> SweepResult:
+        """Simulate the grid through a session and return the result."""
+        session = session if session is not None else default_session()
+        scale = scale or ExperimentScale.from_environment()
+        return self.assemble(session.run_batch(self.batch(scale)))

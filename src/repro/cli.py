@@ -1258,11 +1258,6 @@ def _add_bench_parser(subparsers) -> None:
         f"{DEFAULT_BENCH_TAG}; one tag per PR)",
     )
     bench.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="skip the checkpointed incremental-sweep timing",
-    )
-    bench.add_argument(
         "--json", action="store_true", help="print JSON instead of a table"
     )
     # Not the printed text: the JSON payload, whatever --json says.  Its
@@ -1310,7 +1305,6 @@ def _run_bench(args: argparse.Namespace) -> tuple[str, int]:
         repeats=args.repeats,
         scale=_scale_from_args(args),
         tag=args.tag,
-        incremental=not args.no_incremental,
     )
     payload = bench_payload(report)
     if args.payload_path:

@@ -19,14 +19,11 @@ from __future__ import annotations
 import json
 import math
 import platform
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-from repro.api.request import RunRequest
 from repro.api.scale import ExperimentScale
-from repro.api.session import Session, execute_request
 from repro.experiments.output import render_table
 from repro.sim.config import SystemConfig
 from repro.sim.engine import (
@@ -43,8 +40,11 @@ from repro.workloads import make_workload
 #: redefined ``speedup`` as reference over that engine and kept the
 #: reference-over-fast ratio as ``fast_speedup``.  Version 3 times two
 #: engines again, with ``speedup`` = reference over fast (as in
-#: version 1).
-BENCH_SCHEMA_VERSION = 3
+#: version 1).  Version 4 drops the ``incremental_sweep`` section: the
+#: bench is the engine-only trajectory, and perfbench's resume workload
+#: measures the checkpoint path end to end.  The gate reads only
+#: ``cases`` and the geomean, so every earlier file still gates.
+BENCH_SCHEMA_VERSION = 4
 
 #: Tag of the bench file this revision of the repository commits
 #: (``BENCH_<tag>.json``).  Bumped by every PR that records a new point
@@ -144,8 +144,6 @@ class BenchReport:
     records: list[BenchRecord] = field(default_factory=list)
     trace_scale: float = 1.0
     tag: int = DEFAULT_BENCH_TAG
-    #: cold-vs-checkpointed sweep timing (None when skipped).
-    incremental: Optional[IncrementalSweepRecord] = None
 
     @property
     def geomean_speedup(self) -> float:
@@ -158,124 +156,13 @@ class BenchReport:
 
     @property
     def all_identical(self) -> bool:
-        """True when every case (and the incremental sweep, if timed)
-        produced bit-identical results."""
-        identical = all(record.identical for record in self.records)
-        if self.incremental is not None:
-            identical = identical and self.incremental.identical
-        return identical
+        """True when every case produced bit-identical results."""
+        return all(record.identical for record in self.records)
 
     @property
     def cases_at_least_2x(self) -> int:
         """Number of cases where the fast engine is >= 2x faster."""
         return sum(1 for record in self.records if record.speedup >= 2.0)
-
-
-#: Default shape of the checkpointed incremental-sweep case: a
-#: ``refs_total`` sweep over one prefix-capped scenario, the workload
-#: pattern ``Session(checkpoints=True)`` exists to accelerate.
-SWEEP_INNER_WORKLOAD = "syn:migration-daemon/seed=7"
-SWEEP_POINTS = (150_000, 300_000, 450_000)
-SWEEP_NUM_CPUS = 8
-SWEEP_PROTOCOL = "software"
-SWEEP_WARMUP_REFS = 1_000
-SWEEP_INTERVAL_REFS = 10_000
-
-
-@dataclass
-class IncrementalSweepRecord:
-    """Cold-vs-checkpointed timing of one ``refs_total`` sweep."""
-
-    workload: str
-    refs_points: tuple[int, ...]
-    num_cpus: int
-    protocol: str
-    warmup_refs: int
-    cold_seconds: float
-    warm_seconds: float
-    identical: bool
-    restored: int
-
-    @property
-    def speedup(self) -> float:
-        """Cold time over checkpointed time (higher is better).
-
-        Clamped away from division by zero so degenerate sub-resolution
-        timings never emit non-standard ``Infinity`` JSON.
-        """
-        return self.cold_seconds / max(self.warm_seconds, 1e-9)
-
-
-def run_incremental_sweep(
-    inner_workload: str = SWEEP_INNER_WORKLOAD,
-    points: Sequence[int] = SWEEP_POINTS,
-    num_cpus: int = SWEEP_NUM_CPUS,
-    protocol: str = SWEEP_PROTOCOL,
-    warmup_refs: int = SWEEP_WARMUP_REFS,
-    interval_refs: int = SWEEP_INTERVAL_REFS,
-    scale: Optional[ExperimentScale] = None,
-) -> IncrementalSweepRecord:
-    """Time a ``refs_total`` sweep cold vs. through Session checkpoints.
-
-    Cold executes every point from scratch; warm runs the same requests
-    through ``Session(checkpoints=True)`` on a throwaway cache
-    directory, so each longer point restores the previous point's final
-    checkpoint and simulates only the tail.  Results are verified
-    bit-identical, and both sides resolve their traces the same way, so
-    the ratio isolates the checkpoint machinery.
-    """
-    from repro.api.session import CHECKPOINT_COUNTERS
-
-    factor = (scale or ExperimentScale()).trace_scale
-    # dedupe after scaling: collapsed points would make the cold loop
-    # re-simulate a request the warm session answers from its memo,
-    # crediting memoization to the checkpoint machinery.
-    points = tuple(
-        sorted({max(4_000, int(point * factor)) for point in points})
-    )
-    base = points[-1]
-    workload = f"prefix:{base}:{inner_workload}"
-    config = SystemConfig(num_cpus=num_cpus, protocol=protocol)
-    requests = [
-        RunRequest(
-            config=config,
-            workload=workload,
-            refs_total=refs,
-            warmup_refs=warmup_refs,
-            interval_refs=interval_refs,
-        )
-        for refs in points
-    ]
-
-    started = time.process_time()
-    cold = [execute_request(request) for request in requests]
-    cold_seconds = time.process_time() - started
-
-    before = dict(CHECKPOINT_COUNTERS)
-    with tempfile.TemporaryDirectory(prefix="repro-bench-ckpt-") as tmp:
-        session = Session(cache_dir=tmp, checkpoints=True)
-        started = time.process_time()
-        warm = [session.run(request) for request in requests]
-        warm_seconds = time.process_time() - started
-    restored = CHECKPOINT_COUNTERS["restored"] - before["restored"]
-
-    identical = all(
-        not diff_fingerprints(
-            result_fingerprint(cold_result), result_fingerprint(warm_result)
-        )
-        for cold_result, warm_result in zip(cold, warm)
-    )
-    return IncrementalSweepRecord(
-        workload=workload,
-        refs_points=points,
-        num_cpus=num_cpus,
-        protocol=protocol,
-        warmup_refs=warmup_refs,
-        cold_seconds=cold_seconds,
-        warm_seconds=warm_seconds,
-        identical=identical,
-        restored=restored,
-    )
 
 
 def default_cases(
@@ -371,19 +258,12 @@ def run_bench(
     repeats: int = 3,
     scale: Optional[ExperimentScale] = None,
     tag: int = DEFAULT_BENCH_TAG,
-    incremental: bool = True,
 ) -> BenchReport:
-    """Run the benchmark matrix and return the full report.
-
-    ``incremental`` additionally times the checkpointed ``refs_total``
-    sweep (:func:`run_incremental_sweep`).
-    """
+    """Run the benchmark matrix and return the full report."""
     scale = scale or ExperimentScale()
     report = BenchReport(trace_scale=scale.trace_scale, tag=tag)
     for case in cases if cases is not None else default_cases():
         report.records.append(run_case(case, repeats=repeats, scale=scale))
-    if incremental:
-        report.incremental = run_incremental_sweep(scale=scale)
     return report
 
 
@@ -458,23 +338,7 @@ def check_baseline(
 
 def bench_payload(report: BenchReport) -> dict[str, Any]:
     """JSON-compatible payload of a report (the BENCH_*.json format)."""
-    incremental = None
-    if report.incremental is not None:
-        sweep = report.incremental
-        incremental = {
-            "workload": sweep.workload,
-            "refs_points": list(sweep.refs_points),
-            "num_cpus": sweep.num_cpus,
-            "protocol": sweep.protocol,
-            "warmup_refs": sweep.warmup_refs,
-            "cold_seconds": round(sweep.cold_seconds, 4),
-            "warm_seconds": round(sweep.warm_seconds, 4),
-            "speedup": round(sweep.speedup, 4),
-            "restored": sweep.restored,
-            "identical": sweep.identical,
-        }
     return {
-        "incremental_sweep": incremental,
         "schema": BENCH_SCHEMA_VERSION,
         "tag": report.tag,
         "trace_scale": report.trace_scale,
@@ -523,13 +387,4 @@ def format_bench(report: BenchReport) -> str:
         f"{len(report.records)} cases ({report.cases_at_least_2x} at >=2x), "
         f"results {'bit-identical' if report.all_identical else 'DIVERGED'}"
     )
-    if report.incremental is not None:
-        sweep = report.incremental
-        points = "/".join(str(point) for point in sweep.refs_points)
-        lines.append(
-            f"incremental sweep ({points} refs, {sweep.restored} restores): "
-            f"cold {sweep.cold_seconds:.2f}s vs checkpointed "
-            f"{sweep.warm_seconds:.2f}s = {sweep.speedup:.2f}x, results "
-            f"{'bit-identical' if sweep.identical else 'DIVERGED'}"
-        )
     return "\n".join(lines)

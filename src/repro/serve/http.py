@@ -17,6 +17,7 @@ bodies are JSON, and the one streaming route speaks server-sent events
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import time
 from typing import Any, Optional
@@ -37,6 +38,7 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
 
@@ -146,7 +148,7 @@ class ReproServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> tuple[str, str, bytes]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
+        request_line = await self._read_line(reader)
         if not request_line:
             raise asyncio.IncompleteReadError(b"", None)
         parts = request_line.split()
@@ -157,17 +159,15 @@ class ReproServer:
         method, path = parts[0].upper(), parts[1]
         content_length = 0
         while True:
-            line = (await reader.readline()).decode("latin-1").strip()
+            line = await self._read_line(reader)
             if not line:
                 break
             name, _, value = line.partition(":")
             if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    raise ServiceError(
-                        400, "invalid-content-length", value.strip()
-                    ) from None
+                value = value.strip()
+                if not value.isdecimal():
+                    raise ServiceError(400, "invalid-content-length", value)
+                content_length = int(value)
         if content_length > self.service.settings.max_body_bytes:
             raise ServiceError(
                 413,
@@ -181,6 +181,19 @@ class ReproServer:
             else b""
         )
         return method, path, body
+
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> str:
+        """One request or header line, stripped.
+
+        A line longer than the stream's buffer limit is a client error,
+        not a server failure.
+        """
+        try:
+            line = await reader.readline()
+        except ValueError as error:  # the buffer limit was overrun
+            raise ServiceError(431, "line-too-long", str(error)) from None
+        return line.decode("latin-1").strip()
 
     @staticmethod
     def _parse_json(body: bytes) -> Any:
@@ -199,10 +212,14 @@ class ReproServer:
             ("GET", "/healthz"): self._get_healthz,
             ("GET", "/stats"): self._get_stats,
             ("GET", "/metrics"): self._get_metrics,
-            ("POST", "/run"): self._post_run,
+            ("POST", "/run"): functools.partial(
+                self._post_unit, parse_run_payload, "run"
+            ),
             ("POST", "/run/stream"): self._post_run_stream,
             ("POST", "/sweep"): self._post_sweep,
-            ("POST", "/fleet"): self._post_fleet,
+            ("POST", "/fleet"): functools.partial(
+                self._post_unit, parse_fleet_payload, "fleet"
+            ),
         }
         handler = routes.get((method, path))
         if handler is None:
@@ -247,13 +264,14 @@ class ReproServer:
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass  # scraper went away; nothing to clean up
 
-    async def _post_run(
-        self, writer: asyncio.StreamWriter, body: bytes
+    async def _post_unit(
+        self, parse, kind: str, writer: asyncio.StreamWriter, body: bytes
     ) -> None:
-        request = parse_run_payload(self._parse_json(body))
+        """One admitted run unit: ``POST /run`` or ``POST /fleet``."""
+        request = parse(self._parse_json(body))
         started = time.perf_counter()
         try:
-            source, result = await self.service.submit(request)
+            source, result = await self.service.submit(request, kind=kind)
         except Exception as error:
             raise ServiceError(
                 500, "execution-failed", f"{type(error).__name__}: {error}"
@@ -316,26 +334,6 @@ class ReproServer:
             ) from error
         payload = {"ok": True, "sweep": result.to_dict()}
         payload["table"] = _sweep_table(result)
-        await self._respond(writer, 200, payload)
-
-    async def _post_fleet(
-        self, writer: asyncio.StreamWriter, body: bytes
-    ) -> None:
-        request = parse_fleet_payload(self._parse_json(body))
-        started = time.perf_counter()
-        try:
-            source, result = await self.service.submit(request, kind="fleet")
-        except Exception as error:
-            raise ServiceError(
-                500, "execution-failed", f"{type(error).__name__}: {error}"
-            ) from error
-        self.service.metrics.record_latency(
-            source, time.perf_counter() - started
-        )
-        payload = {"ok": True}
-        payload.update(self.service.result_event(
-            request.cache_key, source, result
-        ))
         await self._respond(writer, 200, payload)
 
     # ------------------------------------------------------------------

@@ -39,10 +39,11 @@ from repro.api.session import (
     _worker_pool,
     execute_request,
 )
-from repro.api.sweep import Sweep, SweepCell, SweepResult
+from repro.api.sweep import Sweep, SweepResult
 from repro.obs.metrics import STORE_METRIC_HELP, store_snapshot
 from repro.obs.trace import active_tracer
 from repro.serve.metrics import ServiceMetrics
+from repro.serve.protocol import MAX_BODY_BYTES
 
 #: Default worker-process count for ``python -m repro serve``.
 DEFAULT_WORKERS = 2
@@ -62,7 +63,7 @@ class ServiceSettings:
     #: thread pool (fast startup -- the test suites use it).
     workers: int = DEFAULT_WORKERS
     #: reject request bodies larger than this many bytes (413).
-    max_body_bytes: int = 8 * 1024 * 1024
+    max_body_bytes: int = MAX_BODY_BYTES
 
 
 @dataclass
@@ -324,33 +325,10 @@ class SimulationService:
         shared baselines coalesce instead of re-simulating.
         """
         scale = scale or ExperimentScale()
-        points = sweep.points()
-        requests = [sweep.request_for(coords, scale) for coords in points]
-        batch = list(requests)
-        if sweep.baseline_overrides:
-            batch += [
-                sweep.request_for(
-                    {**coords, **sweep.baseline_overrides}, scale
-                )
-                for coords in points
-            ]
         outcomes = await asyncio.gather(
-            *[self.submit(request) for request in batch]
+            *[self.submit(request) for request in sweep.batch(scale)]
         )
-        results = [result for _, result in outcomes]
-        cells = []
-        for index, coords in enumerate(points):
-            baseline = (
-                results[len(points) + index]
-                if sweep.baseline_overrides
-                else None
-            )
-            cells.append(
-                SweepCell(
-                    coords=coords, result=results[index], baseline=baseline
-                )
-            )
-        return SweepResult(sweep.axes, cells)
+        return sweep.assemble([result for _, result in outcomes])
 
     # ------------------------------------------------------------------
     # introspection

@@ -238,7 +238,7 @@ SMOKE_ROWS = [
     pytest.param(
         # an empty --scenarios list skips the scenario cases
         ["bench", "--workloads", "facesim", "--scenarios", "", "--repeats",
-         "1", "--scale", "0.02", "--num-cpus", "2", "--no-incremental"],
+         "1", "--scale", "0.02", "--num-cpus", "2"],
         0,
         ["facesim@2cpu/hatric", "over 1 cases", "results bit-identical"],
         id="bench",

@@ -161,6 +161,33 @@ class TestProtocolErrors:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize(
+        "head",
+        [
+            "POST /run HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            f"GET /{'x' * 70_000} HTTP/1.1\r\n\r\n",
+            f"GET /healthz HTTP/1.1\r\nX-Pad: {'x' * 70_000}\r\n\r\n",
+        ],
+        ids=["negative-content-length", "long-request-line", "long-header"],
+    )
+    def test_malformed_framing_is_a_counted_4xx(self, tmp_path, head):
+        # outside input that asyncio itself refuses (a negative read
+        # size, a line past the 64 KiB stream limit) is a client error
+        async def scenario():
+            async with serve(tmp_path) as (client, service):
+                reader, writer = await asyncio.open_connection(
+                    client.host, client.port
+                )
+                writer.write(head.encode())
+                await writer.drain()
+                status_line = await reader.readline()
+                writer.close()
+                assert 400 <= int(status_line.split()[1]) < 500, status_line
+                assert service.metrics.rejected == 1
+                assert service.metrics.requests == 0
+
+        asyncio.run(scenario())
+
     def test_rejections_do_not_count_as_requests(self, tmp_path):
         async def scenario():
             async with serve(tmp_path) as (client, service):

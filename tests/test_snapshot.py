@@ -19,6 +19,7 @@ failures reproduce; raise the budget with ``REPRO_FUZZ_EXAMPLES=25``.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 
@@ -26,13 +27,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import RunRequest, Session
+from repro.api import checkpoint as checkpoint_module
 from repro.api.checkpoint import CheckpointStore, checkpoint_family_key
 from repro.api.request import CACHE_SCHEMA_VERSION
-from repro.api.session import (
-    CHECKPOINT_COUNTERS,
-    execute_request,
-    execute_request_checkpointed,
-)
+from repro.api.session import CHECKPOINT_COUNTERS, execute_request
 from repro.sim.config import MemoryConfig, PagingConfig, SystemConfig
 from repro.sim.engine import (
     ENGINE_FAST,
@@ -383,14 +381,17 @@ class TestSnapshotGuards:
             encoding="utf-8",
         )
         before = dict(CHECKPOINT_COUNTERS)
-        result = execute_request_checkpointed(request, str(tmp_path))
+        result = execute_request(request, store_directory=str(tmp_path))
         assert CHECKPOINT_COUNTERS["cold"] - before["cold"] == 1
         cold = execute_request(request)
         assert not diff_fingerprints(
             result_fingerprint(cold), result_fingerprint(result)
         )
 
-    def test_prune_bounds_checkpoints_per_family(self, tmp_path) -> None:
+    def test_prune_bounds_checkpoints_per_family(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        monkeypatch.setattr(checkpoint_module, "PRUNE_KEEP_PER_FAMILY", 4)
         _, snapshot = self._one_snapshot()
         store = CheckpointStore(tmp_path / "checkpoints")
         family = "ab" * 32
@@ -398,7 +399,7 @@ class TestSnapshotGuards:
             entry = dict(snapshot)
             entry["executed_refs"] = refs * 1000
             store.save(family, entry)
-        removed, kept, failed = store.prune(keep_per_family=4)
+        removed, kept, failed = store.prune()
         assert (removed, kept, failed) == (2, 4, 0)
         survivors = [refs for refs, _ in store.candidates(family)]
         assert survivors == [6000, 5000, 4000, 3000]
@@ -487,7 +488,7 @@ class TestSessionCheckpointing:
         cold = [execute_request(request) for request in requests]
         before = dict(CHECKPOINT_COUNTERS)
         warm = [
-            execute_request_checkpointed(request, str(tmp_path))
+            execute_request(request, store_directory=str(tmp_path))
             for request in requests
         ]
         assert CHECKPOINT_COUNTERS["restored"] == before["restored"]
@@ -582,11 +583,16 @@ class TestSessionCheckpointing:
             config=config, workload=self.SWEEP_WORKLOAD,
             refs_total=6000, warmup_refs=100,
         )
-        session = Session(
-            cache_dir=tmp_path, checkpoints=True, checkpoint_refs=1500
+        session = Session(cache_dir=tmp_path, checkpoints=True)
+        store = session.checkpoint_store
+        Simulator(config).run(
+            make_workload(self.SWEEP_WORKLOAD), refs_total=12000,
+            warmup_refs=100, checkpoint_refs=1500,
+            on_checkpoint=functools.partial(
+                store.save, checkpoint_family_key(long_request)
+            ),
         )
-        session.run(long_request)
-        assert len(session.checkpoint_store) > 4
+        assert len(store) > 4
         before = dict(CHECKPOINT_COUNTERS)
         result = session.run(short_request)
         assert CHECKPOINT_COUNTERS["restored"] - before["restored"] == 1
@@ -604,7 +610,7 @@ class TestSessionCheckpointing:
             config=config, workload=self.SWEEP_WORKLOAD, refs_total=6000,
         )
         before = dict(CHECKPOINT_COUNTERS)
-        result = execute_request_checkpointed(request, str(tmp_path))
+        result = execute_request(request, store_directory=str(tmp_path))
         assert CHECKPOINT_COUNTERS["cold"] - before["cold"] == 1
         assert CHECKPOINT_COUNTERS["saved"] == before["saved"]
         assert len(CheckpointStore(tmp_path)) == 0
@@ -624,8 +630,8 @@ class TestSessionCheckpointing:
             refs_total=12000, warmup_refs=200,
         )
         before = dict(CHECKPOINT_COUNTERS)
-        execute_request_checkpointed(first, str(tmp_path))
-        result = execute_request_checkpointed(second, str(tmp_path))
+        execute_request(first, store_directory=str(tmp_path))
+        result = execute_request(second, store_directory=str(tmp_path))
         assert CHECKPOINT_COUNTERS["restored"] == before["restored"]
         cold = execute_request(second)
         assert not diff_fingerprints(

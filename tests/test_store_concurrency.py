@@ -3,29 +3,40 @@
 The serve layer points many processes at one store directory, so the
 stores must tolerate concurrent writers (atomic write-then-rename means
 readers never observe torn JSON) and maintenance must tolerate live
-servers (prune's ``min_age_seconds`` scopes deletion to old entries).
+servers (prune's ``min_age_seconds`` scopes deletion to old entries),
+and a writer killed mid-write must leave a store that still loads.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
+import logging
 import multiprocessing
 import os
+import signal
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.api import checkpoint as checkpoint_module
 from repro.api.cache import (
     DEFAULT_PRUNE_MIN_AGE_SECONDS,
     TMP_GRACE_SECONDS,
     ResultCache,
-    file_age_at_least,
 )
 from repro.api.checkpoint import CheckpointStore, checkpoint_family_key
 from repro.api.request import RunRequest
-from repro.api.session import execute_request, execute_request_checkpointed
+from repro.api.session import execute_request
+from repro.energy.model import EnergyBreakdown
 from repro.experiments.runner import baseline_config
 from repro.sim.engine import diff_fingerprints, result_fingerprint
+from repro.sim.simulator import SimulationResult, Simulator
+from repro.sim.snapshot import SNAPSHOT_SCHEMA_VERSION
+from repro.sim.stats import MachineStats
+from repro.workloads import make_workload
 
 WORKLOAD = "syn:steady/seed=3"
 SHARED_KEYS = tuple(f"shared-{i}" for i in range(4))
@@ -45,6 +56,20 @@ def backdate(path, seconds: float) -> None:
     """Rewind a file's mtime so age-gated prunes see it as old."""
     stamp = time.time() - seconds
     os.utime(path, (stamp, stamp))
+
+
+def checkpoint_ladder(request: RunRequest, directory) -> SimulationResult:
+    """Run ``request`` cold, saving a checkpoint every 512 references."""
+    store = CheckpointStore(directory)
+    return Simulator(request.config).run(
+        make_workload(request.workload),
+        refs_total=request.refs_total,
+        warmup_refs=request.warmup_refs,
+        checkpoint_refs=512,
+        on_checkpoint=functools.partial(
+            store.save, checkpoint_family_key(request)
+        ),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -71,14 +96,11 @@ def _hammer_result_cache(directory: str, worker_id: int, iterations: int):
 
 
 def _checkpointed_run(directory: str, worker_id: int):
-    """One checkpointed execution; every worker shares the store."""
+    """One checkpoint ladder; every worker writes the same paths."""
     request = tiny_request(
         refs_total=4000, warmup_refs=0, workload=WORKLOAD
     )
-    result = execute_request_checkpointed(
-        request, directory, checkpoint_refs=512
-    )
-    return result_fingerprint(result)
+    return result_fingerprint(checkpoint_ladder(request, directory))
 
 
 class TestConcurrentWriters:
@@ -191,26 +213,25 @@ class TestPruneAgeGating:
         assert stats.kept == 1
         assert cache.get(request.cache_key) is not None
 
-    def test_checkpoint_surplus_is_age_gated(self, tmp_path):
-        """keep_per_family trimming also refuses to delete young files:
+    def test_checkpoint_surplus_is_age_gated(self, tmp_path, monkeypatch):
+        """Per-family trimming also refuses to delete young files:
         a surplus entry may be another server's in-flight ladder."""
+        monkeypatch.setattr(checkpoint_module, "PRUNE_KEEP_PER_FAMILY", 1)
         directory = tmp_path / "checkpoints"
         request = tiny_request(refs_total=4000, warmup_refs=0)
-        execute_request_checkpointed(
-            request, str(directory), checkpoint_refs=512
-        )
+        checkpoint_ladder(request, directory)
         store = CheckpointStore(directory)
         family = checkpoint_family_key(request)
         total = len(store.candidates(family))
         assert total > 2
-        # young surplus: kept despite exceeding keep_per_family
-        stats = store.prune(keep_per_family=1, min_age_seconds=3600.0)
+        # young surplus: kept despite exceeding PRUNE_KEEP_PER_FAMILY
+        stats = store.prune(min_age_seconds=3600.0)
         assert stats.removed == 0
         assert len(store.candidates(family)) == total
         # once old, the same surplus goes
         for _, path in store.candidates(family):
             backdate(path, 7200)
-        stats = store.prune(keep_per_family=1, min_age_seconds=3600.0)
+        stats = store.prune(min_age_seconds=3600.0)
         assert stats.removed == total - 1
         assert len(store.candidates(family)) == 1
 
@@ -228,17 +249,26 @@ class TestPruneAgeGating:
         assert stats.removed == 1
         assert not stale.exists()
 
-    def test_file_age_helper_handles_vanished_files(self, tmp_path):
-        assert (
-            file_age_at_least(tmp_path / "gone.json", time.time(), 0.0)
-            is None
-        )
-        present = tmp_path / "here.json"
-        present.write_text("{}")
-        assert file_age_at_least(present, time.time(), 0.0) is True
-        assert (
-            file_age_at_least(present, time.time(), 3600.0) is False
-        )
+    def test_entry_vanishing_mid_prune_counts_nowhere(
+        self, tmp_path, monkeypatch
+    ):
+        """An entry removed between the listing and its age check (a
+        concurrent pruner or ``clear``) is skipped, not a crash."""
+        cache = ResultCache(tmp_path)
+        request = tiny_request()
+        cache.put(request.cache_key, execute_request(request))
+        vanishing = self._plant_stale(tmp_path, "vanishing.json")
+        stat = Path.stat
+
+        def stat_after_removal(path, *args, **kwargs):
+            if path == vanishing:
+                vanishing.unlink(missing_ok=True)
+            return stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "stat", stat_after_removal)
+        stats = cache.prune(min_age_seconds=0.0)
+        assert tuple(stats) == (0, 1, 0)  # the healthy entry, kept
+        assert not vanishing.exists()
 
     def test_session_prune_threads_min_age(self, tmp_path):
         """Session.prune forwards the cutoff to both stores."""
@@ -258,3 +288,103 @@ class TestPruneAgeGating:
         assert not (tmp_path / "results" / "stale.json").exists()
         assert not stale_ckpt.exists()
         assert report is not None
+
+
+class TestPruneIsNotALookup:
+    """Prune classifies entries; it must not count or log cache misses."""
+
+    def test_prune_leaves_the_miss_counters_alone(self, tmp_path, caplog):
+        results = ResultCache(tmp_path / "results")
+        checkpoints = CheckpointStore(tmp_path / "checkpoints")
+        for store, stale in (
+            (results, {"type": "simulation", "schema": -1}),
+            (checkpoints, {"cache_schema": -1, "executed_refs": 1000}),
+        ):
+            store.directory.mkdir(parents=True)
+            (store.directory / f"{'ab' * 32}-{1000:012d}.json").write_text(
+                json.dumps(stale)
+            )
+            (store.directory / f"{'cd' * 32}-{2000:012d}.json").write_text("{")
+        with caplog.at_level(logging.WARNING):
+            for store in (results, checkpoints):
+                assert tuple(store.prune(min_age_seconds=0.0)) == (2, 0, 0)
+                assert store.stale_schema_misses == 0
+                assert store.decode_error_misses == 0
+        assert not any("miss" in record.message for record in caplog.records)
+
+
+# ----------------------------------------------------------------------
+# crash consistency: a writer killed in the middle of a write
+# ----------------------------------------------------------------------
+CRASH_FAMILY = "ef" * 32
+
+
+def _write_until_killed(result_dir: str, checkpoint_dir: str) -> None:
+    """Rewrite three results and three checkpoints of about 1 MB each."""
+    result = SimulationResult(
+        config=baseline_config(num_cpus=2),
+        workload="crash-test",
+        stats=MachineStats(2),
+        energy=EnergyBreakdown(),
+        per_app_cycles={f"app{i:05d}": i for i in range(50_000)},
+    )
+    snapshot = {
+        "schema": SNAPSHOT_SCHEMA_VERSION,
+        "chip": [[i, 7 * i, i % 3] for i in range(60_000)],
+    }
+    cache = ResultCache(result_dir)
+    store = CheckpointStore(checkpoint_dir)
+    for step in itertools.count():
+        cache.put(f"crash-{step % 3}", result)
+        store.save(CRASH_FAMILY, {**snapshot, "executed_refs": step % 3 + 1})
+
+
+def _temp_files(*stores) -> list[Path]:
+    return [path for store in stores for path in store.directory.glob("*.tmp")]
+
+
+class TestKilledWriter:
+    def test_writer_killed_mid_write_leaves_a_loadable_store(self, tmp_path):
+        results = ResultCache(tmp_path / "results")
+        checkpoints = CheckpointStore(tmp_path / "checkpoints")
+        writer = multiprocessing.get_context("spawn").Process(
+            target=_write_until_killed,
+            args=(str(results.directory), str(checkpoints.directory)),
+        )
+        writer.start()
+        deadline = time.monotonic() + 60.0
+        orphans: list[Path] = []
+        try:
+            while not orphans:
+                assert time.monotonic() < deadline, "no write was caught"
+                assert writer.is_alive(), "the writer died on its own"
+                # one full round first, so both stores hold entries
+                if len(checkpoints) < 3 or not _temp_files(results, checkpoints):
+                    continue
+                # freeze the writer, then kill it only if a temp file
+                # is still there: the kill lands mid-write for certain
+                os.kill(writer.pid, signal.SIGSTOP)
+                orphans = _temp_files(results, checkpoints)
+                if not orphans:
+                    os.kill(writer.pid, signal.SIGCONT)
+        finally:
+            writer.kill()
+            writer.join(timeout=30.0)
+        assert not writer.is_alive()
+        assert writer.exitcode == -signal.SIGKILL
+        assert len(results) == len(checkpoints) == 3
+        for path in results.directory.glob("*.json"):
+            assert results.get(path.stem) is not None
+        for path in checkpoints.directory.glob("*.json"):
+            assert checkpoints.load(path) is not None
+        for store in (results, checkpoints):
+            assert store.decode_error_misses == 0
+            assert store.stale_schema_misses == 0
+        for orphan in orphans:
+            backdate(orphan, TMP_GRACE_SECONDS + 60)
+        removed = sum(
+            store.prune(min_age_seconds=0.0).removed
+            for store in (results, checkpoints)
+        )
+        assert removed == len(orphans)
+        assert not _temp_files(results, checkpoints)
