@@ -46,6 +46,7 @@ from repro.sim.engine import (
     ENGINE_REFERENCE,
     FastPathMismatchError,
     diff_fingerprints,
+    gc_paused,
     result_fingerprint,
     validate_fastpath_requested,
 )
@@ -92,6 +93,7 @@ def _worker_pool(max_workers: Optional[int]) -> ProcessPoolExecutor:
     )
 
 
+@gc_paused()
 def execute_request(
     request: RunRequest,
     on_interval=None,
@@ -101,6 +103,13 @@ def execute_request(
 
     Module-level so :class:`concurrent.futures.ProcessPoolExecutor` can
     pickle it into worker processes.
+
+    The whole request -- trace build, checkpoint scan and restore, the
+    run, checkpoint saves and any reference check -- runs with cyclic
+    garbage collection paused (:func:`~repro.sim.engine.gc_paused`).
+    Every machine it builds is closed once its result is assembled,
+    which leaves the machine acyclic, so reference counting frees it
+    and the paused collector has nothing to catch up on.
 
     ``on_interval``, when given, receives each freshly-emitted
     :class:`~repro.sim.stats.IntervalSample` of a run started from
@@ -166,6 +175,7 @@ def execute_request(
                 on_checkpoint=on_checkpoint,
             )
     finally:
+        simulator.close()
         if tracer:
             tracer.complete(
                 "session.execute", "session", start,
@@ -235,13 +245,17 @@ def _check_against_reference(
     """
     if not validate_fastpath_requested() or engine != ENGINE_FAST:
         return result
-    reference = Simulator(request.config, engine=ENGINE_REFERENCE).run(
-        make_workload(request.workload),
-        warmup_fraction=request.warmup_fraction,
-        refs_total=request.refs_total,
-        warmup_refs=request.warmup_refs,
-        interval_refs=request.interval_refs,
-    )
+    simulator = Simulator(request.config, engine=ENGINE_REFERENCE)
+    try:
+        reference = simulator.run(
+            make_workload(request.workload),
+            warmup_fraction=request.warmup_fraction,
+            refs_total=request.refs_total,
+            warmup_refs=request.warmup_refs,
+            interval_refs=request.interval_refs,
+        )
+    finally:
+        simulator.close()
     differences = diff_fingerprints(
         result_fingerprint(reference), result_fingerprint(result)
     )

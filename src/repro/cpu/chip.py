@@ -77,42 +77,53 @@ class Chip:
 
         self.cores: list[CpuCore] = []
         for cpu_id in range(config.num_cpus):
+            listener = _CacheListener(self, cpu_id)
             core = CpuCore(
                 cpu_id=cpu_id,
                 config=config,
                 llc=self.llc,
                 memory=self.memory,
                 cotag_scheme=cotag_scheme,
-                coherence_listener=_CacheListener(self, cpu_id),
-                fill_listener=self._make_fill_listener(cpu_id),
+                coherence_listener=listener,
+                fill_listener=listener.on_translation_fill,
             )
             self.cores.append(core)
+
+    def close(self) -> None:
+        """Cut every core's link back to the chip (see ``Simulator.close``).
+
+        Directory bookkeeping and back-invalidations run through these
+        links, so only a finished machine may be closed.
+        """
+        for core in self.cores:
+            core.hierarchy.listener._chip = None
 
     # ------------------------------------------------------------------
     # directory bookkeeping (driven by core activity)
     # ------------------------------------------------------------------
-    def _make_fill_listener(self, cpu_id: int):
-        def listener(kind: SharerKind, line: int, nested: bool, guest: bool) -> None:
-            if kind is SharerKind.CACHE:
-                # The walker found the accessed bit clear: mark the line's
-                # page-table bits in the directory.
-                back_invs = self.directory.mark_page_table_line(
-                    line, nested=nested, guest=guest
-                )
-            elif self.track_translation_sharers:
-                back_invs = self.directory.record_fill(
-                    line, cpu_id, kind=kind, is_nested_pt=nested, is_guest_pt=guest
-                )
-            else:
-                # Without hardware translation coherence the directory does
-                # not know about translation structure contents; it still
-                # learns the nPT/gPT bits so software can be compared fairly.
-                back_invs = self.directory.mark_page_table_line(
-                    line, nested=nested, guest=guest
-                )
-            self._apply_back_invalidations(back_invs)
-
-        return listener
+    def on_translation_fill(
+        self, cpu_id: int, kind: SharerKind, line: int, nested: bool,
+        guest: bool,
+    ) -> None:
+        """A CPU's walker cached a translation from a page-table line."""
+        if kind is SharerKind.CACHE:
+            # The walker found the accessed bit clear: mark the line's
+            # page-table bits in the directory.
+            back_invs = self.directory.mark_page_table_line(
+                line, nested=nested, guest=guest
+            )
+        elif self.track_translation_sharers:
+            back_invs = self.directory.record_fill(
+                line, cpu_id, kind=kind, is_nested_pt=nested, is_guest_pt=guest
+            )
+        else:
+            # Without hardware translation coherence the directory does
+            # not know about translation structure contents; it still
+            # learns the nPT/gPT bits so software can be compared fairly.
+            back_invs = self.directory.mark_page_table_line(
+                line, nested=nested, guest=guest
+            )
+        self._apply_back_invalidations(back_invs)
 
     def on_cache_fill(self, cpu_id: int, line: int, is_page_table: bool) -> None:
         """A line entered a CPU's private caches."""
@@ -233,10 +244,14 @@ class Chip:
 
 
 class _CacheListener:
-    """Adapter wiring a core's cache hierarchy callbacks to the chip."""
+    """Adapter wiring a core's cache and walker callbacks to the chip.
+
+    Its ``_chip`` is the core's one link back to the chip, which
+    :meth:`Chip.close` cuts.
+    """
 
     def __init__(self, chip: Chip, cpu_id: int) -> None:
-        self._chip = chip
+        self._chip: Optional[Chip] = chip
         self._cpu_id = cpu_id
 
     def on_private_fill(self, cpu_id: int, line: int, is_page_table: bool) -> None:
@@ -246,3 +261,8 @@ class _CacheListener:
         self, cpu_id: int, line: int, is_page_table: bool
     ) -> None:
         self._chip.on_cache_eviction(self._cpu_id, line, is_page_table)
+
+    def on_translation_fill(
+        self, kind: SharerKind, line: int, nested: bool, guest: bool
+    ) -> None:
+        self._chip.on_translation_fill(self._cpu_id, kind, line, nested, guest)

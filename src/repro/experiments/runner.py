@@ -90,11 +90,14 @@ def run_configuration(
     if isinstance(workload, str):
         workload = make_workload(workload)
     simulator = Simulator(config, validate=validate)
-    return simulator.run(
-        workload,
-        warmup_fraction=scale.warmup_fraction,
-        refs_total=scale.refs_for(workload),
-    )
+    try:
+        return simulator.run(
+            workload,
+            warmup_fraction=scale.warmup_fraction,
+            refs_total=scale.refs_for(workload),
+        )
+    finally:
+        simulator.close()
 
 
 def paging_config(

@@ -48,6 +48,7 @@ from repro.sim.engine import (
     ENGINE_REFERENCE,
     FastPathMismatchError,
     diff_fingerprints,
+    gc_paused,
     machine_digest,
     resolve_engine,
     validate_fastpath_requested,
@@ -210,94 +211,101 @@ def _simulate_fleet(
     hosts = [
         Simulator(config, engine=engine) for _ in range(spec.num_hosts)
     ]
-    runs = [Run(host, trace) for host in hosts]
-    for run in runs:
-        run.start_interval()
-    placement = spec.initial_placement()
-    moves_done = [0] * spec.num_vms
-    transport = {"captures": 0, "restores": 0, "bytes": 0}
-    tracer = active_tracer()
-
-    for epoch in range(spec.epochs):
-        epoch_start = tracer.now() if tracer else 0.0
-        # 1. Every host advances its resident VMs through the epoch's
-        #    base segment (hosts in index order; absent streams noop).
-        for host_index, run in enumerate(runs):
-            spans = {
-                stream: layout.base_end[vm][epoch]
-                for vm in range(spec.num_vms)
-                if placement[vm] == host_index
-                for stream in layout.streams_of_vm[vm]
-            }
-            if spans:
-                run.advance(spans)
-
-        # 2. The epoch's migration wave, move by move: drain storm on
-        #    the source, snapshot transport, cold-touch storm on the
-        #    destination.
-        if epoch < spec.epochs - 1:
-            for vm, src, dst in plan[epoch]:
-                if placement[vm] != src:  # pragma: no cover - plan bug guard
-                    raise RuntimeError(
-                        f"plan moves vm{vm} from host{src} but it lives "
-                        f"on host{placement[vm]}"
-                    )
-                src_end, dst_end = layout.storm_ends[vm][moves_done[vm]]
-                moves_done[vm] += 1
-                vm_streams = layout.streams_of_vm[vm]
-                runs[src].advance(
-                    {stream: src_end for stream in vm_streams}
-                )
-                payload = capture_vm_state(hosts[src], vm)
-                transport["captures"] += 1
-                transport["bytes"] += payload_bytes(payload)
-                restore_vm_state(hosts[dst], vm, payload)
-                transport["restores"] += 1
-                if tracer:
-                    tracer.instant(
-                        "fleet.migrate", "fleet",
-                        epoch=epoch, vm=vm, src=src, dst=dst,
-                        bytes=payload_bytes(payload),
-                    )
-                for stream in vm_streams:
-                    # the destination's positions for this VM are stale
-                    # (it last saw them whenever the VM last left); the
-                    # guest resumes exactly where the source stopped.
-                    runs[dst].positions[stream] = runs[src].positions[stream]
-                runs[dst].advance(
-                    {stream: dst_end for stream in vm_streams}
-                )
-                placement[vm] = dst
-
-        # 3. Close every host's telemetry interval: sample `epoch` of
-        #    each host covers the epoch's base work plus whatever side
-        #    of the wave's storms that host paid for.
+    try:
+        runs = [Run(host, trace) for host in hosts]
         for run in runs:
-            run.sample_interval()
-        if tracer:
-            tracer.complete(
-                "fleet.epoch", "fleet", epoch_start,
-                epoch=epoch, protocol=protocol, engine=engine,
-                migrations=len(plan[epoch]) if epoch < spec.epochs - 1 else 0,
-            )
+            run.start_interval()
+        placement = spec.initial_placement()
+        moves_done = [0] * spec.num_vms
+        transport = {"captures": 0, "restores": 0, "bytes": 0}
+        tracer = active_tracer()
 
-    results = [run.result() for run in runs]
-    digests = [machine_digest(host) for host in hosts]
+        for epoch in range(spec.epochs):
+            epoch_start = tracer.now() if tracer else 0.0
+            # 1. Every host advances its resident VMs through the epoch's
+            #    base segment (hosts in index order; absent streams noop).
+            for host_index, run in enumerate(runs):
+                spans = {
+                    stream: layout.base_end[vm][epoch]
+                    for vm in range(spec.num_vms)
+                    if placement[vm] == host_index
+                    for stream in layout.streams_of_vm[vm]
+                }
+                if spans:
+                    run.advance(spans)
+
+            # 2. The epoch's migration wave, move by move: drain storm on
+            #    the source, snapshot transport, cold-touch storm on the
+            #    destination.
+            if epoch < spec.epochs - 1:
+                for vm, src, dst in plan[epoch]:
+                    if placement[vm] != src:  # pragma: no cover - plan bug guard
+                        raise RuntimeError(
+                            f"plan moves vm{vm} from host{src} but it lives "
+                            f"on host{placement[vm]}"
+                        )
+                    src_end, dst_end = layout.storm_ends[vm][moves_done[vm]]
+                    moves_done[vm] += 1
+                    vm_streams = layout.streams_of_vm[vm]
+                    runs[src].advance(
+                        {stream: src_end for stream in vm_streams}
+                    )
+                    payload = capture_vm_state(hosts[src], vm)
+                    transport["captures"] += 1
+                    transport["bytes"] += payload_bytes(payload)
+                    restore_vm_state(hosts[dst], vm, payload)
+                    transport["restores"] += 1
+                    if tracer:
+                        tracer.instant(
+                            "fleet.migrate", "fleet",
+                            epoch=epoch, vm=vm, src=src, dst=dst,
+                            bytes=payload_bytes(payload),
+                        )
+                    for stream in vm_streams:
+                        # the destination's positions for this VM are stale
+                        # (it last saw them whenever the VM last left); the
+                        # guest resumes exactly where the source stopped.
+                        runs[dst].positions[stream] = runs[src].positions[stream]
+                    runs[dst].advance(
+                        {stream: dst_end for stream in vm_streams}
+                    )
+                    placement[vm] = dst
+
+            # 3. Close every host's telemetry interval: sample `epoch` of
+            #    each host covers the epoch's base work plus whatever side
+            #    of the wave's storms that host paid for.
+            for run in runs:
+                run.sample_interval()
+            if tracer:
+                tracer.complete(
+                    "fleet.epoch", "fleet", epoch_start,
+                    epoch=epoch, protocol=protocol, engine=engine,
+                    migrations=len(plan[epoch]) if epoch < spec.epochs - 1 else 0,
+                )
+
+        results = [run.result() for run in runs]
+        digests = [machine_digest(host) for host in hosts]
+    finally:
+        # after the digests: they read the machines' whole state
+        for host in hosts:
+            host.close()
     return (
         build_fleet_result(spec, protocol, results, digests, transport, plan),
         digests,
     )
 
 
+@gc_paused()
 def execute_fleet(request: FleetRequest) -> FleetResult:
     """Execute one fleet request from scratch (no caching).
 
     Module-level so a :class:`concurrent.futures.ProcessPoolExecutor`
     can pickle it into worker processes (mirroring
-    :func:`repro.api.session.execute_request`).  Under
-    ``REPRO_VALIDATE_FASTPATH=1`` a fast-engine result is checked
-    against a reference-engine run before it is returned (see
-    :func:`_check_against_reference`).
+    :func:`repro.api.session.execute_request`, including its cyclic-GC
+    pause over the whole request and the closing of every host once
+    its digest is taken).  Under ``REPRO_VALIDATE_FASTPATH=1`` a
+    fast-engine result is checked against a reference-engine run
+    before it is returned (see :func:`_check_against_reference`).
     """
     engine = resolve_engine(request.engine or None)
     result, digests = _simulate_fleet(request.spec, request.protocol, engine)

@@ -197,9 +197,13 @@ def _time_run(
 ) -> tuple[float, SimulationResult]:
     """Build a fresh machine, run ``trace`` on ``engine``; return CPU time."""
     simulator = Simulator(config, engine=engine)
-    started = time.process_time()
-    result = simulator.run(trace, warmup_fraction=warmup_fraction)
-    return time.process_time() - started, result
+    try:
+        started = time.process_time()
+        result = simulator.run(trace, warmup_fraction=warmup_fraction)
+        return time.process_time() - started, result
+    finally:
+        # freed now, so no later collection lands in the next timed run
+        simulator.close()
 
 
 def run_case(

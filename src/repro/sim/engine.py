@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import gc
 import os
+from contextlib import contextmanager
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -179,10 +180,6 @@ class FastCacheHierarchy(CacheHierarchy):
     fine-grained tracking and eager sharer updates behave identically.
     """
 
-    #: set by :func:`install_fast_paths`.
-    _fast_chip: Any = None
-    _fast_inline_dir: bool = False
-
     def access(
         self, spa: int, is_write: bool = False, is_page_table: bool = False
     ) -> AccessResult:
@@ -191,24 +188,8 @@ class FastCacheHierarchy(CacheHierarchy):
             cycles=self.access_cycles(spa, is_write, is_page_table), level="fast"
         )
 
-    def _notify_eviction(self, line: int, is_page_table: bool) -> None:
-        """Mirror a line leaving the private caches in the directory."""
-        if self._fast_inline_dir:
-            directory = self._fast_chip.directory
-            entry = directory._entries.get(line)
-            if entry is None:
-                return
-            if entry.is_nested_pt or entry.is_guest_pt:
-                # lazy page-table sharer updates: leave the sharer list.
-                return
-            entry.sharers.discard(self.cpu_id)
-            if not entry.sharers:
-                del directory._entries[line]
-            return
-        self.listener.on_private_eviction(self.cpu_id, line, is_page_table)
 
-
-def _make_access_cycles(hierarchy: FastCacheHierarchy):
+def _make_access_cycles(hierarchy: FastCacheHierarchy, directory):
     """Build the hierarchy's flattened access function.
 
     Exact reference semantics (:meth:`CacheHierarchy.access` plus
@@ -216,6 +197,8 @@ def _make_access_cycles(hierarchy: FastCacheHierarchy):
     listener) with all stable objects -- caches, set lists, latencies,
     geometry, the directory -- bound as closure cells.  Statistics
     objects are fetched per call: warmup reset replaces them.
+    ``directory`` is the chip's directory when its common case is
+    inlined, else None (see :func:`install_fast_paths`).
     """
     l1, l2, llc = hierarchy.l1, hierarchy.l2, hierarchy.llc
     s1_list, s2_list, s3_list = l1._sets, l2._sets, llc._sets
@@ -228,10 +211,27 @@ def _make_access_cycles(hierarchy: FastCacheHierarchy):
     line_mask = ~(line_size - 1)
     tier_of = hierarchy.memory.tier_of
     listener = hierarchy.listener
-    notify_eviction = hierarchy._notify_eviction
     cpu_id = hierarchy.cpu_id
-    inline_dir = hierarchy._fast_inline_dir and listener is not None
-    directory = hierarchy._fast_chip.directory if inline_dir else None
+
+    # Neither notifier holds the hierarchy: ``access_cycles`` lives on
+    # it, and a back-edge would keep every finished machine cyclic.
+    if directory is None:
+        def notify_eviction(line: int, is_page_table: bool) -> None:
+            """Mirror a line leaving the private caches (reference path)."""
+            listener.on_private_eviction(cpu_id, line, is_page_table)
+    else:
+        def notify_eviction(line: int, is_page_table: bool) -> None:
+            """Mirror a line leaving the private caches (common case)."""
+            entries = directory._entries
+            entry = entries.get(line)
+            if entry is None:
+                return
+            if entry.is_nested_pt or entry.is_guest_pt:
+                # lazy page-table sharer updates: leave the sharer list.
+                return
+            entry.sharers.discard(cpu_id)
+            if not entry.sharers:
+                del entries[line]
 
     def fill_private(cache, cset, other_list, other_sets, line, is_write,
                      is_page_table, associativity):
@@ -328,7 +328,7 @@ def _make_access_cycles(hierarchy: FastCacheHierarchy):
         # newly-resident private line -> directory (reference
         # ``listener.on_private_fill``), common case inlined.
         if listener is not None:
-            if inline_dir:
+            if directory is not None:
                 entries = directory._entries
                 entry = entries.get(line)
                 if entry is not None:
@@ -745,10 +745,10 @@ class FastPageTableWalker(PageTableWalker):
     ) -> None:
         """Inline of the chip's walker fill listener (common case).
 
-        Replicates ``Chip._make_fill_listener``: CACHE-kind messages mark
-        the line's nPT/gPT directory bits; translation-structure fills
-        additionally record the CPU as a sharer when the protocol tracks
-        translation sharers.  Capacity pressure and fine-grained
+        Replicates :meth:`Chip.on_translation_fill`: CACHE-kind messages
+        mark the line's nPT/gPT directory bits; translation-structure
+        fills additionally record the CPU as a sharer when the protocol
+        tracks translation sharers.  Capacity pressure and fine-grained
         directories fall back to the reference listener (which handles
         back-invalidations).
         """
@@ -814,9 +814,9 @@ def install_fast_paths(chip) -> bool:
     for core in chip.cores:
         hierarchy = core.hierarchy
         hierarchy.__class__ = FastCacheHierarchy
-        hierarchy._fast_chip = chip
-        hierarchy._fast_inline_dir = inline_dir
-        hierarchy.access_cycles = _make_access_cycles(hierarchy)
+        hierarchy.access_cycles = _make_access_cycles(
+            hierarchy, directory if inline_dir else None
+        )
         if type(core.walker) is PageTableWalker:
             walker = core.walker
             walker.__class__ = FastPageTableWalker
@@ -829,6 +829,30 @@ def install_fast_paths(chip) -> bool:
                 structure.__class__ = fast_cls
                 structure._fast_init_index()
     return True
+
+
+# ----------------------------------------------------------------------
+# garbage collection
+# ----------------------------------------------------------------------
+@contextmanager
+def gc_paused():
+    """Suspend cyclic garbage collection for the block.
+
+    Disables the collector only if it is enabled, and re-enables it on
+    exit only if this block disabled it, so a nested pause, or a caller
+    that keeps GC off itself, finds the state it left.  Simulated
+    machines are acyclic once closed (``Simulator.close``), so
+    reference counting frees them and a paused collector leaves no
+    garbage behind.  Usable as a decorator too.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 # ----------------------------------------------------------------------
@@ -936,10 +960,14 @@ class FastPathExecutor:
     def execute_span(self, starts, ends, on_round=None) -> int:
         """Execute streams between per-stream ``starts`` and ``ends``.
 
-        Cyclic garbage collection is suspended for the duration: the hot
-        path allocates no reference cycles (cache lines, translation
-        entries and directory entries are acyclic), so generational GC
-        sweeps are pure overhead at this allocation rate.
+        Runs under :func:`gc_paused`: the hot path allocates no
+        reference cycles (cache lines, translation entries and directory
+        entries are acyclic), so generational GC sweeps are pure
+        overhead at this allocation rate.  Inside a request the pause
+        is already on (:func:`repro.api.session.execute_request` and
+        :func:`repro.fleet.engine.execute_fleet` hold it for their whole
+        body) and this one changes nothing; it covers direct callers of
+        :meth:`~repro.sim.simulator.Simulator.run`.
 
         ``on_round`` mirrors the reference engine's hook: it fires after
         every full round-robin round with the references executed so far
@@ -949,10 +977,7 @@ class FastPathExecutor:
         """
         positions = list(starts)
         executed = 0
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        with gc_paused():
             while True:
                 ran, steady = self._exact_round(positions, ends)
                 if not ran:
@@ -962,9 +987,6 @@ class FastPathExecutor:
                     on_round(executed)
                 elif steady and self._bulk_eligible():
                     executed += self._bulk_window(positions, ends)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
         return executed
 
     def _exact_round(self, positions, ends) -> tuple[int, bool]:

@@ -53,6 +53,19 @@ def single_remap_cost(config: SystemConfig) -> AnatomyRow:
     )
     protocol.bind(chip, stats, config.costs)
     hypervisor = KvmHypervisor(chip, config, protocol, stats)
+    try:
+        return _measure_remap(hypervisor)
+    finally:
+        # acyclic once closed, so reference counting frees the machine
+        hypervisor.close()
+        chip.close()
+
+
+def _measure_remap(hypervisor: KvmHypervisor) -> AnatomyRow:
+    """Share one page across every CPU, remap it, and report the cost."""
+    config, chip = hypervisor.config, hypervisor.chip
+    protocol, stats = hypervisor.protocol, hypervisor.stats
+    num_cpus = config.num_cpus
     vm = hypervisor.create_vm(vcpu_pcpus=list(range(num_cpus)))
     process = vm.create_process()
 

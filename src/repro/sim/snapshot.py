@@ -499,6 +499,24 @@ def restore_run(
         )
     config = config_from_dict(data["config"])
     simulator = Simulator(config, engine=engine)
+    try:
+        return _load_run(simulator, data, trace, positions, starts)
+    except BaseException:
+        # a half-restored machine is nobody's: free it now, not at the
+        # next full collection (the caller may scan further candidates)
+        simulator.close()
+        raise
+
+
+def _load_run(
+    simulator: Simulator,
+    data: dict[str, Any],
+    trace: WorkloadTrace,
+    positions: list[int],
+    starts: list[int],
+) -> Run:
+    """Load a snapshot's state into ``simulator``'s fresh machine."""
+    trace_data = data["trace"]
     hypervisor = simulator.hypervisor
     memory = simulator.chip.memory
 

@@ -94,6 +94,15 @@ class Hypervisor:
         """Return a VM by id."""
         return self._vms[vm_id]
 
+    def close(self) -> None:
+        """Cut every VM's and guest process's links back up the machine.
+
+        See :meth:`VirtualMachine.close`; only a finished machine may be
+        closed.
+        """
+        for vm in self._vms.values():
+            vm.close()
+
     def set_vm_fast_cap(self, vm_id: int, frames: int) -> None:
         """Cap a VM's resident die-stacked data pages at ``frames``.
 

@@ -128,6 +128,20 @@ class VirtualMachine:
         self.processes.append(process)
         return process
 
+    def close(self) -> None:
+        """Cut this VM's and its processes' links back up the machine.
+
+        A process reaches its VM and the VM its hypervisor, directly and
+        through their page-table frame allocators; without those links a
+        finished machine is acyclic (see ``Simulator.close``).  A closed
+        VM can neither fault nor allocate.
+        """
+        for process in self.processes:
+            process.vm = None
+            process.guest_page_table._allocate_table_page = None
+        self.hypervisor = None
+        self.nested_page_table._allocate_table_page = None
+
     @property
     def num_vcpus(self) -> int:
         """Number of virtual CPUs configured for this VM."""
