@@ -1636,6 +1636,7 @@ def _run_serve(args: argparse.Namespace) -> tuple[str, int]:
     # imported lazily: the serve layer (and asyncio) only loads when
     # the service actually starts
     import asyncio
+    import signal
 
     from repro.serve import ReproServer, ServiceSettings, SimulationService
     from repro.serve.service import DEFAULT_WORKERS
@@ -1649,20 +1650,22 @@ def _run_serve(args: argparse.Namespace) -> tuple[str, int]:
 
     async def run() -> None:
         host, port = await server.start()
+        # SIGINT cancels serving, as asyncio.run does from 3.11 on; on
+        # 3.10 it would raise inside whichever connection's task runs
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGINT, asyncio.current_task().cancel
+        )
         print(
             f"repro serve: listening on http://{host}:{port} "
             f"(store {service.session.disk_cache.directory}, "
             f"workers {workers})",
             flush=True,
         )
-        try:
-            await server.serve_forever()
-        finally:
-            await server.stop()
+        await server.serve_forever()  # stops the server when cancelled
 
     try:
         asyncio.run(run())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         pass
     return "repro serve: stopped", 0
 

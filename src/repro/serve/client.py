@@ -1,8 +1,13 @@
 """A small asyncio client for the serve protocol.
 
-One connection per request (the server speaks ``Connection: close``),
-JSON bodies both ways, and an async iterator over server-sent events
-for the streaming route.  Used by the load-test harness and the
+Requests travel on persistent HTTP/1.1 connections: each one checks out
+an idle connection (or opens one) and returns it after a complete
+keep-alive reply, so the pool never holds more idle connections than
+were in use at once.  Connections belong to the event loop that opened
+them and are closed when that loop shuts down; one client can serve
+several ``asyncio.run`` calls in turn.  JSON bodies both ways, and an
+async iterator over server-sent events for the streaming route, which
+keeps a connection of its own.  Used by the load-test harness and the
 protocol test suite; it is deliberately the *only* HTTP client in the
 repo, so wire-format drift breaks tests instead of users.
 """
@@ -13,6 +18,24 @@ import asyncio
 import json
 from typing import Any, AsyncIterator, Optional
 
+_Connection = tuple[asyncio.StreamReader, asyncio.StreamWriter]
+
+#: The tasks that close each loop's pooled connections when asyncio's
+#: shutdown cancels them.  The loop holds tasks weakly, and a client
+#: may be dropped before its loop shuts down.
+_POOL_CLOSERS: set[asyncio.Task] = set()
+
+
+async def _close_at_shutdown(idle: list[_Connection]) -> None:
+    """Wait until cancelled (the loop is shutting down), then close
+    ``idle``."""
+    try:
+        await asyncio.get_running_loop().create_future()
+    finally:
+        for _, writer in idle:
+            writer.close()
+        idle.clear()
+
 
 class ServiceClient:
     """Talks to one :class:`~repro.serve.http.ReproServer`."""
@@ -20,6 +43,8 @@ class ServiceClient:
     def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._idle: list[_Connection] = []
 
     async def request(
         self,
@@ -27,18 +52,46 @@ class ServiceClient:
         path: str,
         payload: Optional[Any] = None,
     ) -> tuple[int, Any]:
-        """One round trip; returns ``(status, decoded JSON body)``."""
-        reader, writer = await asyncio.open_connection(self.host, self.port)
+        """One round trip; returns ``(status, decoded JSON body)``.
+
+        A reused connection that the server has closed meanwhile (EOF
+        or a reset before any byte of the status line, as when it
+        closed an idle connection) is replaced by a new one and the
+        request sent once more.  Nothing else is retried.
+        """
+        message = self._message(method, path, payload, "keep-alive")
+        reader, writer, reused = await self._checkout()
         try:
-            await self._send(writer, method, path, payload)
-            status, _, body = await self._read_response(reader)
-            return status, json.loads(body) if body else None
-        finally:
+            try:
+                status_line = await self._exchange(reader, writer, message)
+            except (ConnectionResetError, BrokenPipeError):
+                if not reused:
+                    raise
+                status_line = b""
+            if not status_line and reused:
+                writer.close()
+                reader, writer = await asyncio.open_connection(
+                    self.host, self.port
+                )
+                status_line = await self._exchange(reader, writer, message)
+            status, headers, body = await self._read_response(
+                reader, status_line
+            )
+        except BaseException:
+            writer.close()
+            raise
+        if (
+            headers.get("connection") == "keep-alive"
+            and "content-length" in headers
+        ):
+            self._idle.append((reader, writer))
+        else:
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
+        return status, json.loads(body) if body else None
 
     async def stream(
         self, path: str, payload: Any
@@ -47,8 +100,10 @@ class ServiceClient:
         closes the stream."""
         reader, writer = await asyncio.open_connection(self.host, self.port)
         try:
-            await self._send(writer, "POST", path, payload)
-            status, headers, _ = await self._read_head(reader)
+            status_line = await self._exchange(
+                reader, writer, self._message("POST", path, payload, "close")
+            )
+            status, headers = await self._read_head(reader, status_line)
             if "text/event-stream" not in headers.get("content-type", ""):
                 body = await reader.read()
                 raise RuntimeError(
@@ -90,15 +145,37 @@ class ServiceClient:
         return await self.request("POST", path, payload)
 
     # ------------------------------------------------------------------
+    # the connection pool
+    # ------------------------------------------------------------------
+    async def _checkout(
+        self,
+    ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter, bool]:
+        """An idle pooled connection of the running loop, or a new one;
+        the flag says whether it was reused."""
+        loop = asyncio.get_running_loop()
+        if loop is not self._loop:
+            # a previous loop's connections were closed at its shutdown
+            # (or are unusable); never carry them over
+            self._loop, self._idle = loop, []
+            closer = loop.create_task(_close_at_shutdown(self._idle))
+            _POOL_CLOSERS.add(closer)
+            closer.add_done_callback(_POOL_CLOSERS.discard)
+        if self._idle:
+            reader, writer = self._idle.pop()
+            return reader, writer, True
+        reader, writer = await asyncio.open_connection(self.host, self.port)
+        return reader, writer, False
+
+    # ------------------------------------------------------------------
     # wire plumbing
     # ------------------------------------------------------------------
-    async def _send(
+    def _message(
         self,
-        writer: asyncio.StreamWriter,
         method: str,
         path: str,
         payload: Optional[Any],
-    ) -> None:
+        connection: str,
+    ) -> bytes:
         body = b""
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
@@ -107,17 +184,26 @@ class ServiceClient:
             f"Host: {self.host}:{self.port}\r\n"
             f"Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
-            f"Connection: close\r\n\r\n"
+            f"Connection: {connection}\r\n\r\n"
         )
-        writer.write(head.encode("latin-1") + body)
+        return head.encode("latin-1") + body
+
+    @staticmethod
+    async def _exchange(
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        message: bytes,
+    ) -> bytes:
+        """Send ``message``; return the raw status line (empty at EOF)."""
+        writer.write(message)
         await writer.drain()
+        return await reader.readline()
 
     @staticmethod
     async def _read_head(
-        reader: asyncio.StreamReader,
-    ) -> tuple[int, dict[str, str], None]:
-        status_line = (await reader.readline()).decode("latin-1").strip()
-        parts = status_line.split(None, 2)
+        reader: asyncio.StreamReader, status_line: bytes
+    ) -> tuple[int, dict[str, str]]:
+        parts = status_line.decode("latin-1").strip().split(None, 2)
         if len(parts) < 2:
             raise RuntimeError(f"malformed status line {status_line!r}")
         status = int(parts[1])
@@ -128,12 +214,12 @@ class ServiceClient:
                 break
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        return status, headers, None
+        return status, headers
 
     async def _read_response(
-        self, reader: asyncio.StreamReader
+        self, reader: asyncio.StreamReader, status_line: bytes
     ) -> tuple[int, dict[str, str], bytes]:
-        status, headers, _ = await self._read_head(reader)
+        status, headers = await self._read_head(reader, status_line)
         length = headers.get("content-length")
         if length is not None:
             body = await reader.readexactly(int(length))

@@ -23,6 +23,7 @@ process boundary -- the GIL makes a streamed run slower, not wrong).
 from __future__ import annotations
 
 import asyncio
+import json
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -64,6 +65,22 @@ class ServiceSettings:
     workers: int = DEFAULT_WORKERS
     #: reject request bodies larger than this many bytes (413).
     max_body_bytes: int = MAX_BODY_BYTES
+
+
+def wire_result(result: AnyResult) -> bytes:
+    """``json.dumps(encode_result(result))`` as bytes, encoded once.
+
+    The bytes are kept in the result's ``__dict__`` (the way
+    ``RunRequest.cache_key`` keeps its digest), so they live exactly as
+    long as the result -- for a hit, as long as the session memo holds
+    it -- and every later hit on it replays them.  The service never
+    changes a result once it is stored, so the bytes cannot go stale.
+    """
+    encoded = result.__dict__.get("_wire")
+    if encoded is None:
+        encoded = json.dumps(encode_result(result)).encode("utf-8")
+        result.__dict__["_wire"] = encoded
+    return encoded
 
 
 @dataclass
@@ -287,7 +304,10 @@ class SimulationService:
             )
         if not job.future.done():
             job.future.set_result(result)
-        self._emit(job, "result", self.result_event(key, "executed", result))
+        if job.queues:
+            self._emit(
+                job, "result", self.result_event(key, "executed", result)
+            )
         self._finish(job)
 
     @staticmethod
@@ -299,9 +319,18 @@ class SimulationService:
         )
 
     @staticmethod
-    def result_event(key: str, source: str, result: AnyResult) -> dict:
-        """The terminal payload both ``/run`` and its SSE stream carry."""
-        return {"key": key, "source": source, "result": encode_result(result)}
+    def result_event(key: str, source: str, result: AnyResult) -> bytes:
+        """The terminal payload both ``/run`` and its SSE stream carry.
+
+        ``json.dumps({"key": key, "source": source, "result":
+        encode_result(result)})`` as bytes, with the result's part
+        encoded once per result object (:func:`wire_result`).
+        """
+        return b'{"key": %s, "source": %s, "result": %s}' % (
+            json.dumps(key).encode("utf-8"),
+            json.dumps(source).encode("utf-8"),
+            wire_result(result),
+        )
 
     def _emit(self, job: _Job, event: str, data: Any) -> None:
         for queue in job.queues:

@@ -299,14 +299,36 @@ _CONFIG_SECTIONS = {
 }
 
 
+#: Field names of :class:`SystemConfig` and of each section, in
+#: declaration order (the order ``dataclasses.asdict`` emits).
+_SYSTEM_FIELDS = tuple(f.name for f in dataclasses.fields(SystemConfig))
+_SECTION_FIELDS = {
+    name: tuple(f.name for f in dataclasses.fields(section_cls))
+    for name, section_cls in _CONFIG_SECTIONS.items()
+}
+
+
 def config_to_dict(config: SystemConfig) -> dict[str, Any]:
     """Serialize a :class:`SystemConfig` to plain JSON-compatible data.
+
+    Equal to ``dataclasses.asdict(config)``, key order included, with a
+    fresh dict per section.  Built directly from the declared fields
+    because ``asdict`` costs most of a request's cache key; every field
+    of the config and its sections is a scalar, so no deep copy is
+    needed.
 
     Lives here (not in ``repro.api``) so the snapshot serializer in
     :mod:`repro.sim.snapshot` can use it without inverting the layering;
     :mod:`repro.api.request` re-exports it.
     """
-    return dataclasses.asdict(config)
+    data: dict[str, Any] = {}
+    for name in _SYSTEM_FIELDS:
+        value = getattr(config, name)
+        section = _SECTION_FIELDS.get(name)
+        if section is not None:
+            value = {key: getattr(value, key) for key in section}
+        data[name] = value
+    return data
 
 
 def config_from_dict(data: Mapping[str, Any]) -> SystemConfig:

@@ -8,6 +8,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import urllib.request
@@ -393,20 +394,33 @@ def test_serve_listens_answers_and_stops_on_sigint(tmp_path):
         host, port = line.split("http://", 1)[1].split()[0].rsplit(":", 1)
         status, _ = asyncio.run(ServiceClient(host, int(port)).get("/healthz"))
         assert status == 200
-        url = f"http://{host}:{port}/metrics"
-        with urllib.request.urlopen(url, timeout=30) as reply:
-            metrics = reply.read().decode("utf-8").splitlines()
-        assert "repro_requests_total 0" in metrics
-        assert "# TYPE repro_request_latency_seconds histogram" in metrics
-        assert any(line.startswith("repro_store_entries ") for line in metrics)
-        proc.send_signal(signal.SIGINT)
-        out, err = proc.communicate(timeout=30)
+        # leave a keep-alive connection idle, its handler waiting for
+        # the next request line, while the server is interrupted
+        with socket.create_connection((host, int(port)), timeout=30) as idle:
+            idle.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            answer = b""
+            while not answer.endswith(b"}"):
+                answer += idle.recv(4096)
+            assert b"Connection: keep-alive" in answer
+            # answered only once the idle handler has parked (one event
+            # loop), so the interrupt cannot land inside that handler
+            url = f"http://{host}:{port}/metrics"
+            with urllib.request.urlopen(url, timeout=30) as reply:
+                metrics = reply.read().decode("utf-8").splitlines()
+            assert "repro_requests_total 0" in metrics
+            assert "# TYPE repro_request_latency_seconds histogram" in metrics
+            assert any(
+                line.startswith("repro_store_entries ") for line in metrics
+            )
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.communicate()
     assert proc.returncode == 0, err
     assert "repro serve: stopped" in out
+    assert "Traceback" not in err, err
 
 
 @pytest.mark.parametrize(

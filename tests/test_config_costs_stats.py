@@ -1,12 +1,19 @@
 """Tests for configuration, cost model and statistics containers."""
 
+import dataclasses
+
 import pytest
 
+from repro.core.protocol import PROTOCOLS
+from repro.experiments.runner import baseline_config
 from repro.sim.config import (
+    CacheConfig,
+    CoherenceDirectoryConfig,
     MemoryConfig,
     PagingConfig,
     SystemConfig,
     TranslationConfig,
+    config_to_dict,
 )
 from repro.sim.costs import CostModel
 from repro.sim.stats import EventCounter, MachineStats
@@ -48,6 +55,53 @@ class TestSystemConfig:
     def test_memory_config_totals(self):
         memory = MemoryConfig(fast_frames=10, slow_frames=30)
         assert memory.total_frames == 40
+
+
+#: Every section replaced by non-default values.
+NON_DEFAULT_CONFIG = SystemConfig(
+    num_cpus=3,
+    protocol="unitd",
+    placement="fast-only",
+    hypervisor="xen",
+    cache=CacheConfig(l1_size=8192, llc_latency=40),
+    translation=TranslationConfig(l1_tlb_entries=32, size_scale=2),
+    memory=MemoryConfig(fast_frames=512, slow_latency=300),
+    paging=PagingConfig(policy="fifo", migration_daemon=False,
+                        reserved_fast_fraction=0.1, defrag_interval=7),
+    directory=CoherenceDirectoryConfig(capacity=None, fine_grained=True),
+    costs=CostModel(ipi_send=777, lines_per_page=32),
+    seed=9,
+)
+
+
+class TestConfigToDict:
+    """``config_to_dict`` is ``dataclasses.asdict`` without its cost:
+    equal values and key order, so no cache key moves."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [SystemConfig(), NON_DEFAULT_CONFIG]
+        + [
+            baseline_config(protocol=protocol, hypervisor=hypervisor)
+            for protocol in sorted(PROTOCOLS)
+            for hypervisor in ("kvm", "xen")
+        ],
+    )
+    def test_equals_asdict_with_its_key_order(self, config):
+        data = config_to_dict(config)
+        reference = dataclasses.asdict(config)
+        assert data == reference
+        assert list(data) == list(reference)
+        for name, value in reference.items():
+            if isinstance(value, dict):
+                assert list(data[name]) == list(value), name
+                # a fresh dict per section, as asdict makes one
+                assert data[name] is not config_to_dict(config)[name]
+
+    def test_reads_declared_fields_only(self):
+        config = SystemConfig()
+        object.__setattr__(config.cache, "note", "not a field")
+        assert "note" not in config_to_dict(config)["cache"]
 
 
 class TestCostModel:

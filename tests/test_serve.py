@@ -3,28 +3,33 @@
 Pins the service contract at the wire level: validation failures are
 structured 4xx (never stack-trace 500s), duplicate in-flight POSTs
 coalesce to one execution, a server killed mid-run leaves the store
-reusable, and the ``/stats`` counters obey the conservation law
-``hits + misses == requests``.
+reusable, the ``/stats`` counters obey the conservation law
+``hits + misses == requests``, connections persist by the keep-alive
+rules, and reply bytes are exactly ``json.dumps`` of the payload.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import gc
 import json
 import multiprocessing
 import os
 import signal
+import threading
 import time
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.api.cache import decode_result
+from repro.api.cache import decode_result, encode_result
 from repro.api.request import RunRequest
 from repro.api.session import Session, execute_request
 from repro.experiments.runner import baseline_config
 from repro.serve import ReproServer, ServiceClient, ServiceSettings, SimulationService
+from repro.serve import http
 from repro.sim.engine import result_fingerprint
 from repro.workloads.synthetic import scenario_spec
 
@@ -54,6 +59,97 @@ async def serve(tmp_path, workers=0):
         yield ServiceClient(host, port), service
     finally:
         await server.stop()
+
+
+@contextlib.contextmanager
+def serve_in_thread(tmp_path):
+    """A live server on its own event loop in a thread, so clients can
+    outlive their loops and block theirs while the server runs."""
+    started = threading.Event()
+    state = {}
+
+    async def main():
+        service = SimulationService(
+            ServiceSettings(cache_dir=tmp_path / "store", workers=0)
+        )
+        server = ReproServer(service)
+        state["address"] = await server.start()
+        state["loop"] = asyncio.get_running_loop()
+        state["done"] = asyncio.Event()
+        started.set()
+        await state["done"].wait()
+        await server.stop()
+
+    thread = threading.Thread(target=asyncio.run, args=(main(),))
+    thread.start()
+    try:
+        assert started.wait(30), "server thread did not start"
+        yield state["address"]
+    finally:
+        if "loop" in state:
+            state["loop"].call_soon_threadsafe(state["done"].set)
+        thread.join(30)
+        assert not thread.is_alive()
+
+
+@pytest.fixture
+def connections(monkeypatch):
+    """Server-side connection counts: ``opened`` and ``closed``."""
+    counts = {"opened": 0, "closed": 0}
+    handle = ReproServer._handle
+
+    async def counted(self, reader, writer):
+        counts["opened"] += 1
+        try:
+            await handle(self, reader, writer)
+        finally:
+            counts["closed"] += 1
+
+    monkeypatch.setattr(ReproServer, "_handle", counted)
+    return counts
+
+
+async def read_reply(reader) -> tuple[int, dict, bytes]:
+    """One raw HTTP reply: ``(status, lower-cased headers, body)``."""
+    status = int((await reader.readline()).split()[1])
+    headers = {}
+    while line := (await reader.readline()).decode("latin-1").strip():
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = headers.get("content-length")
+    body = (
+        await reader.readexactly(int(length))
+        if length is not None
+        else await reader.read()
+    )
+    return status, headers, body
+
+
+async def server_closed(reader) -> bool:
+    """True once the server closed the connection (FIN or reset)."""
+    try:
+        return await asyncio.wait_for(reader.read(), 10) == b""
+    except ConnectionResetError:
+        return True
+
+
+def raw_request(method, path, body=b"", *, version="HTTP/1.1", extra=""):
+    return (
+        f"{method} {path} {version}\r\n"
+        f"Content-Length: {len(body)}\r\n{extra}\r\n"
+    ).encode() + body
+
+
+def run_body(request) -> bytes:
+    return json.dumps({"request": request.to_dict()}).encode()
+
+
+def expected_reply(key, source, result, ok=True) -> bytes:
+    """What a reply must be, byte for byte: ``json.dumps`` of the
+    payload dict, encoded afresh."""
+    payload = {"ok": True} if ok else {}
+    payload.update(key=key, source=source, result=encode_result(result))
+    return json.dumps(payload).encode()
 
 
 class TestProtocolErrors:
@@ -172,7 +268,8 @@ class TestProtocolErrors:
     )
     def test_malformed_framing_is_a_counted_4xx(self, tmp_path, head):
         # outside input that asyncio itself refuses (a negative read
-        # size, a line past the 64 KiB stream limit) is a client error
+        # size, a line past the 64 KiB stream limit) is a client error;
+        # the framing state is then unknown, so the connection closes
         async def scenario():
             async with serve(tmp_path) as (client, service):
                 reader, writer = await asyncio.open_connection(
@@ -180,9 +277,11 @@ class TestProtocolErrors:
                 )
                 writer.write(head.encode())
                 await writer.drain()
-                status_line = await reader.readline()
+                status, headers, _ = await read_reply(reader)
+                assert 400 <= status < 500, status
+                assert headers["connection"] == "close"
+                assert await server_closed(reader)
                 writer.close()
-                assert 400 <= int(status_line.split()[1]) < 500, status_line
                 assert service.metrics.rejected == 1
                 assert service.metrics.requests == 0
 
@@ -506,5 +605,309 @@ class TestCompositePayloads:
             async with serve(tmp_path) as (client, _):
                 status, body = await client.get("/healthz")
                 assert status == 200 and body["ok"] is True
+
+        asyncio.run(scenario())
+
+
+class TestKeepAlive:
+    def test_one_connection_serves_fifty_runs(self, tmp_path, connections):
+        async def scenario():
+            async with serve(tmp_path) as (client, service):
+                payload = {"request": run_request().to_dict()}
+                sources = []
+                for _ in range(50):
+                    status, body = await client.post("/run", payload)
+                    assert status == 200
+                    sources.append(body["source"])
+                assert sources == ["executed"] + ["memo"] * 49
+                _, stats = await client.get("/stats")
+                assert stats["requests"] == 50
+                assert stats["hits"] + stats["misses"] == stats["requests"]
+                assert stats["memo_hits"] == 49 and stats["executed"] == 1
+                assert stats["latency"]["hit"]["count"] == 49
+                assert connections["opened"] == 1
+
+        asyncio.run(scenario())
+
+    def test_pipelined_requests_get_in_order_replies(self, tmp_path):
+        first, second = run_request("software"), run_request("ideal")
+
+        async def scenario():
+            async with serve(tmp_path) as (client, _):
+                reader, writer = await asyncio.open_connection(
+                    client.host, client.port
+                )
+                writer.write(
+                    raw_request("POST", "/run", run_body(first))
+                    + raw_request("POST", "/run", run_body(second),
+                                  extra="Connection: close\r\n")
+                )
+                await writer.drain()
+                replies = [await read_reply(reader) for _ in range(2)]
+                assert [json.loads(body)["key"] for _, _, body in replies] == [
+                    first.cache_key, second.cache_key,
+                ]
+                assert [headers["connection"] for _, headers, _ in replies] == [
+                    "keep-alive", "close",
+                ]
+                assert await server_closed(reader)
+                writer.close()
+
+        asyncio.run(scenario())
+
+    def test_body_after_a_pause_is_served(self, tmp_path, monkeypatch):
+        # the idle clock stops once the request line is in: a body that
+        # arrives later than the idle timeout still gets its reply
+        monkeypatch.setattr(http, "IDLE_TIMEOUT_S", 0.2)
+        body = run_body(run_request())
+
+        async def scenario():
+            async with serve(tmp_path) as (client, _):
+                reader, writer = await asyncio.open_connection(
+                    client.host, client.port
+                )
+                head, _, _ = raw_request("POST", "/run", body).partition(body)
+                writer.write(head)
+                await writer.drain()
+                await asyncio.sleep(0.5)
+                writer.write(body)
+                await writer.drain()
+                status, headers, reply = await read_reply(reader)
+                assert status == 200 and json.loads(reply)["ok"] is True
+                assert headers["connection"] == "keep-alive"
+                writer.close()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (raw_request("GET", "/healthz", extra="Connection: close\r\n"),
+             200),
+            (raw_request("GET", "/healthz", version="HTTP/1.0"), 200),
+            (raw_request("GET", "/nope"), 404),
+            (raw_request("POST", "/run", b"{not json"), 400),
+        ],
+        ids=["connection-close", "http-1.0", "not-found", "invalid-json"],
+    )
+    def test_one_reply_then_eof(self, tmp_path, request_bytes, status):
+        async def scenario():
+            async with serve(tmp_path) as (client, _):
+                reader, writer = await asyncio.open_connection(
+                    client.host, client.port
+                )
+                writer.write(request_bytes)
+                await writer.drain()
+                got, headers, _ = await read_reply(reader)
+                assert (got, headers["connection"]) == (status, "close")
+                assert await server_closed(reader)
+                writer.close()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("route", ["/run/stream", "/metrics"])
+    def test_stream_and_metrics_close_their_connection(self, tmp_path, route):
+        request = run_request()
+
+        async def scenario():
+            async with serve(tmp_path) as (client, _):
+                await client.post("/run", {"request": request.to_dict()})
+                reader, writer = await asyncio.open_connection(
+                    client.host, client.port
+                )
+                method = "POST" if route == "/run/stream" else "GET"
+                body = run_body(request) if method == "POST" else b""
+                writer.write(raw_request(method, route, body))
+                await writer.drain()
+                # both bodies end at EOF: the server must close
+                data = await asyncio.wait_for(reader.read(), 10)
+                head = data.split(b"\r\n\r\n", 1)[0].decode().lower()
+                assert "connection: close" in head.splitlines()
+                writer.close()
+
+        asyncio.run(scenario())
+
+    def test_idle_connection_closes_and_client_reconnects(
+        self, tmp_path, monkeypatch, connections
+    ):
+        monkeypatch.setattr(http, "IDLE_TIMEOUT_S", 0.2)
+
+        async def scenario(host, port):
+            client = ServiceClient(host, port)
+            assert (await client.get("/healthz"))[0] == 200
+            # block this loop (not the server's): the server closes the
+            # pooled connection meanwhile, unseen by the client, whose
+            # next request finds it dead and is sent once more
+            deadline = time.monotonic() + 10
+            while not connections["closed"] and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert connections["closed"] == 1
+            status, body = await client.get("/healthz")
+            assert status == 200 and body["ok"] is True
+            assert connections["opened"] == 2
+
+        with serve_in_thread(tmp_path) as (host, port):
+            asyncio.run(scenario(host, port))
+
+
+class TestShutdown:
+    def test_stop_closes_idle_pooled_connections(
+        self, tmp_path, monkeypatch, connections
+    ):
+        # the idle timeout must not be what ends them
+        monkeypatch.setattr(http, "IDLE_TIMEOUT_S", 60.0)
+
+        async def scenario():
+            service = SimulationService(
+                ServiceSettings(cache_dir=tmp_path / "store", workers=0)
+            )
+            server = ReproServer(service)
+            host, port = await server.start()
+            client = ServiceClient(host, port)
+            await asyncio.gather(*[client.get("/healthz") for _ in range(3)])
+            assert connections == {"opened": 3, "closed": 0}
+            started = time.perf_counter()
+            await asyncio.wait_for(server.stop(), 10)
+            assert time.perf_counter() - started < 3
+            assert connections["closed"] == 3
+
+        asyncio.run(scenario())
+
+
+class TestClientPool:
+    def test_client_spans_event_loops_without_leaks(
+        self, tmp_path, connections
+    ):
+        with serve_in_thread(tmp_path) as (host, port):
+            client = ServiceClient(host, port)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                assert asyncio.run(client.get("/healthz"))[0] == 200
+                # the first loop's shutdown closed its pooled connection
+                deadline = time.monotonic() + 10
+                while not connections["closed"] and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert connections == {"opened": 1, "closed": 1}
+                assert asyncio.run(client.get("/healthz"))[0] == 200
+                assert connections["opened"] == 2  # never carried over
+                gc.collect()
+            leaks = [w for w in caught if w.category is ResourceWarning]
+            assert not leaks, [str(w.message) for w in leaks]
+
+    def test_concurrent_requests_hold_their_own_connections(
+        self, tmp_path, connections
+    ):
+        async def scenario():
+            async with serve(tmp_path) as (client, _):
+                await asyncio.gather(
+                    *[client.get("/healthz") for _ in range(6)]
+                )
+                assert connections == {"opened": 6, "closed": 0}
+                # the pool keeps no more than were in use at once, and
+                # sequential requests reuse them
+                for _ in range(10):
+                    await client.get("/healthz")
+                await asyncio.gather(
+                    *[client.get("/healthz") for _ in range(4)]
+                )
+                assert connections == {"opened": 6, "closed": 0}
+
+        asyncio.run(scenario())
+
+
+class TestReplyBytes:
+    """Every reply is byte-identical to ``json.dumps`` of its payload."""
+
+    @staticmethod
+    async def post_raw(host, port, path, body) -> bytes:
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(raw_request("POST", path, body))
+        await writer.drain()
+        status, _, reply = await read_reply(reader)
+        writer.close()
+        assert status == 200, reply
+        return reply
+
+    def test_run_replies_for_every_source(self, tmp_path):
+        request, raced = run_request("software"), run_request("ideal")
+        key = request.cache_key
+
+        async def first_server():
+            async with serve(tmp_path) as (client, service):
+                address = client.host, client.port
+                executed = await self.post_raw(*address, "/run",
+                                               run_body(request))
+                result = service.session.peek(key)
+                assert executed == expected_reply(key, "executed", result)
+                memo = await self.post_raw(*address, "/run",
+                                           run_body(request))
+                assert memo == expected_reply(key, "memo", result)
+                # a repeated hit replays the kept bytes, still exact
+                again = await self.post_raw(*address, "/run",
+                                            run_body(request))
+                assert again == memo
+                replies = await asyncio.gather(*[
+                    self.post_raw(*address, "/run", run_body(raced))
+                    for _ in range(2)
+                ])
+                sources = sorted(json.loads(r)["source"] for r in replies)
+                assert sources == ["coalesced", "executed"]
+                result = service.session.peek(raced.cache_key)
+                assert sorted(replies) == sorted(
+                    expected_reply(raced.cache_key, source, result)
+                    for source in ("coalesced", "executed")
+                )
+
+        async def second_server():
+            async with serve(tmp_path) as (client, service):
+                disk = await self.post_raw(client.host, client.port, "/run",
+                                           run_body(request))
+                result = service.session.peek(key)
+                assert disk == expected_reply(key, "disk", result)
+
+        asyncio.run(first_server())
+        asyncio.run(second_server())
+
+    def test_fleet_reply(self, tmp_path):
+        from repro.experiments.fleet import fleet_spec
+        from repro.fleet.spec import FleetRequest
+
+        request = FleetRequest(
+            spec=fleet_spec(hosts=2, vms_per_host=1, num_cpus=2, epochs=2,
+                            epoch_refs=512, storm_refs=64),
+            protocol="hatric",
+        )
+        body = json.dumps({"request": request.to_dict()}).encode()
+
+        async def scenario():
+            async with serve(tmp_path) as (client, service):
+                for source in ("executed", "memo"):
+                    reply = await self.post_raw(client.host, client.port,
+                                                "/fleet", body)
+                    result = service.session.peek(request.cache_key)
+                    assert reply == expected_reply(
+                        request.cache_key, source, result
+                    )
+
+        asyncio.run(scenario())
+
+    def test_stream_result_event_data(self, tmp_path):
+        request = run_request()
+
+        async def scenario():
+            async with serve(tmp_path) as (client, service):
+                await client.post("/run", {"request": request.to_dict()})
+                reader, writer = await asyncio.open_connection(
+                    client.host, client.port
+                )
+                writer.write(raw_request("POST", "/run/stream",
+                                         run_body(request)))
+                await writer.drain()
+                _, _, events = await read_reply(reader)  # read to EOF
+                writer.close()
+                assert events == b"event: result\ndata: " + expected_reply(
+                    request.cache_key, "memo",
+                    service.session.peek(request.cache_key), ok=False,
+                ) + b"\n\n"
 
         asyncio.run(scenario())
