@@ -34,7 +34,7 @@ import sys
 from typing import Any, Callable, Optional, Sequence
 
 from repro import __version__
-from repro.api import ExperimentScale, Session, Sweep, SweepResult
+from repro.api import ExperimentScale, Session, Sweep
 from repro.api.cache import DEFAULT_PRUNE_MIN_AGE_SECONDS
 from repro.experiments import (
     format_anatomy,
@@ -60,7 +60,7 @@ from repro.experiments import (
     run_figure13,
     run_xen_study,
 )
-from repro.experiments.output import experiment_output, render_table
+from repro.experiments.output import experiment_output, sweep_table
 from repro.experiments.runner import baseline_config
 from repro.experiments.scenarios import (
     SCENARIO_FAMILIES,
@@ -1472,23 +1472,6 @@ def _run_figure(args: argparse.Namespace) -> tuple[str, int]:
     )
 
 
-def _format_sweep_table(grid: SweepResult) -> str:
-    axis_names = list(grid.axes)
-    normalized = any(cell.baseline is not None for cell in grid.cells)
-    columns = axis_names + ["runtime_cycles"] + (
-        ["normalized_runtime", "normalized_energy"] if normalized else []
-    )
-    rows = []
-    for cell in grid.cells:
-        row = [cell.coords[name] for name in axis_names]
-        row.append(cell.result.runtime_cycles)
-        if normalized:
-            row.append(f"{cell.normalized_runtime:.4f}")
-            row.append(f"{cell.normalized_energy:.4f}")
-        rows.append(row)
-    return render_table(columns, rows, aligns=["left"] * len(columns))
-
-
 def _run_sweep(args: argparse.Namespace) -> tuple[str, int]:
     axes: dict[str, tuple] = {}
     for raw in args.axis:
@@ -1507,7 +1490,7 @@ def _run_sweep(args: argparse.Namespace) -> tuple[str, int]:
         sweep = sweep.normalize_to(**overrides)
     grid = sweep.run(session=_session_from_args(args), scale=_scale_from_args(args))
     return experiment_output(
-        args.json, grid.to_dict, lambda: _format_sweep_table(grid)
+        args.json, grid.to_dict, lambda: sweep_table(grid)
     )
 
 

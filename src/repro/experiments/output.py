@@ -6,7 +6,8 @@ and the tables themselves are all fixed-width column grids with a
 dashed rule under the header.  This module is the single place those
 conventions live: ``consolidation``, ``timeline`` and ``fleet`` all
 render through it, so their output stays structurally identical and a
-new experiment gets the house style for free.
+new experiment gets the house style for free.  :func:`sweep_table` is
+the one rendering of a sweep grid, shared by the CLI and the service.
 """
 
 from __future__ import annotations
@@ -66,6 +67,34 @@ def render_table(
     return "\n".join(lines)
 
 
+def sweep_table(grid) -> str:
+    """Render a :class:`~repro.api.sweep.SweepResult` as a figure table.
+
+    One row per grid point: its axis coordinates (left-aligned), then
+    ``runtime_cycles`` and ``energy_total`` and, on a normalized sweep,
+    the cell's ``normalized_runtime`` and ``normalized_energy``
+    (right-aligned).  ``python -m repro sweep`` prints this table and
+    ``POST /sweep`` returns it as ``table``.
+    """
+    axes = list(grid.axes)
+    normalized = any(cell.baseline is not None for cell in grid.cells)
+    columns = axes + ["runtime_cycles", "energy_total"]
+    if normalized:
+        columns += ["normalized_runtime", "normalized_energy"]
+    rows = []
+    for cell in grid.cells:
+        row = [cell.coords[axis] for axis in axes]
+        row += [cell.result.runtime_cycles, f"{cell.result.energy_total:.1f}"]
+        if normalized:
+            row += [
+                f"{cell.normalized_runtime:.4f}",
+                f"{cell.normalized_energy:.4f}",
+            ]
+        rows.append(row)
+    aligns = ["left"] * len(axes) + ["right"] * (len(columns) - len(axes))
+    return render_table(columns, rows, aligns)
+
+
 def violations_footer(violations: Mapping[str, Sequence[str]]) -> list[str]:
     """The invariant-verdict footer every differential table ends with.
 
@@ -104,5 +133,6 @@ __all__ = [
     "ALIGNMENTS",
     "experiment_output",
     "render_table",
+    "sweep_table",
     "violations_footer",
 ]

@@ -83,8 +83,8 @@ def restore_vm_state(
 
     Overwrites the target VM's guest page tables in place (object
     identity is preserved -- executor contexts and walkers keep their
-    references), re-derives fast-engine walk memos, and eagerly backs
-    every transplanted page-table frame the host has not mapped yet.
+    references) and eagerly backs every transplanted page-table frame
+    the host has not mapped yet.
     """
     if payload.get("schema") != SNAPSHOT_SCHEMA_VERSION:
         raise SnapshotError(
@@ -115,10 +115,6 @@ def restore_vm_state(
         table = process.guest_page_table
         _load_table(table, process_data["guest"])
         process.guest_root_gpp = table.root.page_number
-        if hasattr(table, "_fast_init_memo"):
-            # fast-engine table: the transplant replaced the tree the
-            # hoisted walk memos were built against
-            table._fast_init_memo()
         _collect_table_pages(table.root, table_pages)
 
     # Pin any transplanted page-table frame this host has never backed;

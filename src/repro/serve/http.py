@@ -29,7 +29,7 @@ import time
 from typing import Any, NamedTuple, Optional
 
 from repro import __version__
-from repro.experiments.output import render_table
+from repro.experiments.output import sweep_table
 from repro.serve.protocol import (
     ServiceError,
     parse_fleet_payload,
@@ -46,6 +46,7 @@ _REASONS = {
     413: "Payload Too Large",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
+    503: "Service Unavailable",
 }
 
 #: Sources counted as cache hits when classifying request latency.
@@ -87,27 +88,6 @@ def _head(status: int, headers: dict[str, str]) -> bytes:
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
 
-def _sweep_table(result) -> str:
-    """Render a sweep grid as the CLI-style fixed-width figure table."""
-    axes = list(result.axes)
-    columns = axes + ["runtime_cycles", "energy_total"]
-    has_baseline = any(cell.baseline is not None for cell in result.cells)
-    if has_baseline:
-        columns += ["norm_runtime", "norm_energy"]
-    rows = []
-    for cell in result.cells:
-        row = [cell.coords[axis] for axis in axes]
-        row += [cell.result.runtime_cycles, f"{cell.result.energy_total:.1f}"]
-        if has_baseline:
-            row += [
-                f"{cell.normalized_runtime:.4f}",
-                f"{cell.normalized_energy:.4f}",
-            ]
-        rows.append(row)
-    aligns = ["left"] * len(axes) + ["right"] * (len(columns) - len(axes))
-    return render_table(columns, rows, aligns)
-
-
 class ReproServer:
     """One listening socket wired to a :class:`SimulationService`."""
 
@@ -121,9 +101,12 @@ class ReproServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
-        # connections waiting for their next request line, with their
-        # handler tasks: the ones stop() closes itself
-        self._idle: dict[asyncio.StreamWriter, asyncio.Task] = {}
+        # connections waiting for their next request line: the ones
+        # stop() closes itself
+        self._idle: set[asyncio.StreamWriter] = set()
+        # every open connection's handler task, busy or idle: the ones
+        # stop() waits for
+        self._handlers: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     async def start(self) -> tuple[str, int]:
         """Bind and listen; returns the actual ``(host, port)``
@@ -150,24 +133,32 @@ class ReproServer:
             await self.stop()
 
     async def stop(self) -> None:
-        """Stop listening, close idle connections, then abandon
-        in-flight work (see service.close).
+        """Stop listening and end every connection, then return.
 
-        The handlers of the closed idle connections finish before the
-        work is abandoned, so none is left for the loop's shutdown to
-        cancel.  A connection busy with a request closes after its
-        reply; from Python 3.12.1 on, ``wait_closed`` waits for it.
+        In order: stop listening, close the idle connections, abandon
+        in-flight work (see service.close) so every busy request gets
+        its 503 ``shutting-down`` reply or stream end, and wait for the
+        connection handlers to finish.  A handler still busy after
+        :data:`IDLE_TIMEOUT_S` (a client stalled mid-request) has its
+        connection closed.  The same stop on every Python version: no
+        handler is left for the loop's shutdown to cancel, and
+        ``wait_closed`` (which on 3.12.1+ waits for every connection)
+        finds none open.
         """
         server, self._server = self._server, None
         if server is not None:
             server.close()
-            idle = list(self._idle.values())
-            for writer in self._idle:
-                writer.close()
-            if idle:
-                await asyncio.wait(idle)
-            await server.wait_closed()
+        for writer in self._idle:
+            writer.close()
         await self.service.close()
+        if self._handlers:
+            _, busy = await asyncio.wait(
+                list(self._handlers), timeout=IDLE_TIMEOUT_S
+            )
+            for task in busy:
+                self._handlers[task].close()
+        if server is not None:
+            await server.wait_closed()
 
     # ------------------------------------------------------------------
     # connection handling
@@ -175,6 +166,8 @@ class ReproServer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._handlers[task] = writer
         try:
             while await self._serve_one(reader, writer):
                 pass
@@ -182,6 +175,7 @@ class ReproServer:
             writer.close()
             with contextlib.suppress(OSError):
                 await writer.wait_closed()
+            del self._handlers[task]
 
     async def _serve_one(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -192,6 +186,11 @@ class ReproServer:
             method, path, body, keep_alive = await self._read_request(
                 reader, writer
             )
+            if self._server is None:
+                # read while stop() ran: the service no longer admits it
+                raise ServiceError(
+                    503, "shutting-down", "the server is stopping"
+                )
             reply = await self._dispatch(writer, method, path, body)
         except ServiceError as error:
             if error.status < 500:
@@ -234,12 +233,12 @@ class ReproServer:
         idle = asyncio.get_running_loop().call_later(
             IDLE_TIMEOUT_S, writer.close
         )
-        self._idle[writer] = asyncio.current_task()
+        self._idle.add(writer)
         try:
             request_line = await self._read_line(reader)
         finally:
             idle.cancel()
-            del self._idle[writer]
+            self._idle.discard(writer)
         # a connection closed while idle (timeout or stop) serves no
         # request that raced the close
         if not request_line or writer.is_closing():
@@ -365,6 +364,8 @@ class ReproServer:
         started = time.perf_counter()
         try:
             source, result = await self.service.submit(request, kind=kind)
+        except ServiceError:
+            raise  # already structured (a stopping service's 503)
         except Exception as error:
             raise ServiceError(
                 500, "execution-failed", f"{type(error).__name__}: {error}"
@@ -419,12 +420,14 @@ class ReproServer:
         sweep, scale = parse_sweep_payload(self._parse_json(body))
         try:
             result = await self.service.run_sweep(sweep, scale)
+        except ServiceError:
+            raise
         except Exception as error:
             raise ServiceError(
                 500, "execution-failed", f"{type(error).__name__}: {error}"
             ) from error
         payload = {"ok": True, "sweep": result.to_dict()}
-        payload["table"] = _sweep_table(result)
+        payload["table"] = sweep_table(result)
         return _json_reply(200, payload)
 
     # ------------------------------------------------------------------

@@ -44,7 +44,7 @@ from repro.api.sweep import Sweep, SweepResult
 from repro.obs.metrics import STORE_METRIC_HELP, store_snapshot
 from repro.obs.trace import active_tracer
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.protocol import MAX_BODY_BYTES
+from repro.serve.protocol import MAX_BODY_BYTES, ServiceError
 
 #: Default worker-process count for ``python -m repro serve``.
 DEFAULT_WORKERS = 2
@@ -159,12 +159,23 @@ class SimulationService:
 
         Deliberately abrupt (the restart-mid-run test depends on it):
         whatever did not finish simply is not in the store, and a
-        restarted service re-executes it.  Completed entries were
+        restarted service re-executes it.  Every awaiter of an abandoned
+        run fails with a 503 ``shutting-down`` :class:`ServiceError`,
+        and every stream subscriber gets an ``error`` event and its end,
+        the way a failed execution ends them.  Completed entries were
         written atomically, so the store stays reusable.
         """
-        for job in list(self._inflight.values()):
+        for job in self._inflight.values():
+            error = ServiceError(
+                503, "shutting-down",
+                "the service stopped before the run finished",
+            )
             if not job.future.done():
-                job.future.cancel()
+                job.future.set_exception(error)
+            self._emit(
+                job, "error", {"code": error.code, "detail": error.detail}
+            )
+            self._finish(job)
         self._inflight.clear()
         for task in list(self._tasks):
             task.cancel()

@@ -14,9 +14,11 @@ The simulator supports two interchangeable execution engines:
   -- nothing architecturally interesting happens, so the fast path
   retires it inline with precomputed hit costs and accumulates
   statistics as per-chunk array sums instead of per-reference attribute
-  updates.  The moment any slow-path condition holds (TLB miss, data
-  miss, pending defragmentation remap, a fault) the executor falls back
-  to the exact reference code path for that reference.
+  updates.  An L1-TLB hit whose data line misses the L1 goes through
+  the flattened cache hierarchy; every reference that misses the L1
+  TLB runs :meth:`Simulator._execute_reference` itself, the reference
+  engine's own per-reference code, so the slow path (L2 TLB, walks,
+  faults, remaps) is written once.
 
   Right after a round-robin round in which every chunk was fully
   steady, the executor also tries *bulk retirement*: it mirrors the hot
@@ -31,7 +33,8 @@ The simulator supports two interchangeable execution engines:
 
 The fast engine additionally installs flattened implementations of the
 hottest component paths on the machine it runs -- the cache hierarchy
-access path and co-tag/line-indexed translation structure invalidation.
+access path, the two-dimensional walker's page-table reads and
+co-tag/line-indexed translation structure invalidation.
 These are pure implementation swaps: they mutate the *same* state
 objects in the *same* order and count the *same* statistics, so results
 are **bit-identical** to the reference engine.  That property is load
@@ -57,7 +60,6 @@ from typing import TYPE_CHECKING, Any, Optional
 import numpy as np
 
 from repro.coherence.directory import DirectoryEntry, SharerKind
-from repro.cpu.chip import _CacheListener
 from repro.mem.cache import CacheLine
 from repro.mem.hierarchy import AccessResult, CacheHierarchy
 from repro.sim.config import PLACEMENT_PAGED
@@ -67,7 +69,6 @@ from repro.translation.address import (
     PAGE_SHIFT,
     PAGE_SIZE,
 )
-from repro.translation.page_table import GuestPageTable, NestedPageTable
 from repro.translation.structures import (
     MMUCache,
     NestedTLB,
@@ -482,71 +483,6 @@ _FAST_STRUCTURE_CLASSES = {
 }
 
 
-class _MemoizedTableMixin:
-    """Walk-path / leaf-lookup memoization for a radix page table.
-
-    ``walk_path`` and ``lookup`` are pure functions of the table
-    *structure* (the entry objects they return are shared, so bit
-    mutation like accessed/dirty flags needs no invalidation, and
-    ``remap`` changes an entry in place without touching structure).
-    Only ``map`` and ``unmap`` change structure:
-
-    * ``unmap`` removes one leaf -- drop that page's memo entries;
-    * ``map`` adds one leaf and possibly intermediate tables that
-      lengthen previously-*short* (faulting) walk paths -- drop that
-      page's entries plus every memoized short path.
-    """
-
-    def _fast_init_memo(self) -> None:
-        self._walk_memo: dict[int, list] = {}
-        self._leaf_memo: dict[int, Any] = {}
-        self._short_keys: set[int] = set()
-
-    def map(self, vpn: int, pfn: int):
-        self._leaf_memo.pop(vpn, None)
-        self._walk_memo.pop(vpn, None)
-        if self._short_keys:
-            walk_memo = self._walk_memo
-            for key in self._short_keys:
-                walk_memo.pop(key, None)
-            self._short_keys.clear()
-        return super().map(vpn, pfn)
-
-    def unmap(self, vpn: int):
-        self._leaf_memo.pop(vpn, None)
-        self._walk_memo.pop(vpn, None)
-        return super().unmap(vpn)
-
-    def lookup(self, vpn: int):
-        memo = self._leaf_memo
-        entry = memo.get(vpn, _MISSING)
-        if entry is _MISSING:
-            entry = super().lookup(vpn)
-            memo[vpn] = entry
-        return entry
-
-    def walk_path(self, vpn: int) -> list:
-        memo = self._walk_memo
-        path = memo.get(vpn)
-        if path is None:
-            path = super().walk_path(vpn)
-            memo[vpn] = path
-            if len(path) < 4:
-                self._short_keys.add(vpn)
-        return path
-
-
-_MISSING = object()
-
-
-class FastGuestPageTable(_MemoizedTableMixin, GuestPageTable):
-    """Memoizing guest page table (fast engine)."""
-
-
-class FastNestedPageTable(_MemoizedTableMixin, NestedPageTable):
-    """Memoizing nested page table (fast engine)."""
-
-
 class FastPageTableWalker(PageTableWalker):
     """Flattened two-dimensional walker (identical semantics).
 
@@ -555,14 +491,12 @@ class FastPageTableWalker(PageTableWalker):
     nested translation; at up to 24 page-table references per walk that
     is the single hottest non-data path in the simulator.  This variant
     calls the flattened :meth:`FastCacheHierarchy.access_cycles`
-    directly and passes nested translations as tuples, keeping every
-    statistic, fill, co-tag and listener notification identical.
+    directly, probes the L1 inline for page-table lines, and passes
+    nested translations as tuples, keeping every statistic, fill, co-tag
+    and listener notification identical.  Its fills notify
+    ``fill_listener`` exactly as the reference walker does; on the
+    chip-built cores it runs on, that is :meth:`Chip.on_translation_fill`.
     """
-
-    #: set by :func:`install_fast_paths`.
-    _fast_dir: Any = None
-    _fast_track: bool = True
-    _fast_cpu: int = 0
 
     def walk(self, ctx, gvp: int, is_write: bool = False) -> WalkResult:
         stats = self.stats
@@ -631,7 +565,7 @@ class FastPageTableWalker(PageTableWalker):
             result.memory_references += 1
             if not guest_entry.accessed:
                 guest_entry.accessed = True
-                self._notify_pt_fill(SharerKind.CACHE, line, False, True)
+                self.fill_listener(SharerKind.CACHE, line, False, True)
             next_gpp = guest_entry.pfn
 
             spp, ncycles, nrefs, leaf, fault = self._translate_gpp_fast(
@@ -654,7 +588,9 @@ class FastPageTableWalker(PageTableWalker):
                 key = (vm_id, level - 1, gvp >> ((level - 1) * _LEVEL_BITS))
                 mmu.insert(key, spp, cotag=cotag, pt_line=pt_line)
                 if pt_line is not None:
-                    self._notify_pt_fill(SharerKind.MMU_CACHE, pt_line, True, False)
+                    self.fill_listener(
+                        SharerKind.MMU_CACHE, pt_line, True, False
+                    )
             else:
                 result.gpp = next_gpp
                 result.spp = spp
@@ -675,7 +611,7 @@ class FastPageTableWalker(PageTableWalker):
                 self.tlb_l1.insert(key, spp, cotag=cotag, pt_line=pt_line)
                 self.tlb_l2.insert(key, spp, cotag=cotag, pt_line=pt_line)
                 if pt_line is not None:
-                    self._notify_pt_fill(SharerKind.TLB, pt_line, True, False)
+                    self.fill_listener(SharerKind.TLB, pt_line, True, False)
 
         stats.cycles += result.cycles
         stats.memory_references += result.memory_references
@@ -726,7 +662,7 @@ class FastPageTableWalker(PageTableWalker):
             references += 1
             if not entry.accessed:
                 entry.accessed = True
-                self._notify_pt_fill(SharerKind.CACHE, line, True, False)
+                self.fill_listener(SharerKind.CACHE, line, True, False)
         if len(path) < 4:
             return 0, cycles, references, None, True
         leaf = path[-1]
@@ -737,98 +673,30 @@ class FastPageTableWalker(PageTableWalker):
         )
         pt_line = leaf.address & line_mask
         ntlb.insert(key, leaf.pfn, cotag=cotag, pt_line=pt_line)
-        self._notify_pt_fill(SharerKind.NTLB, pt_line, True, False)
+        self.fill_listener(SharerKind.NTLB, pt_line, True, False)
         return leaf.pfn, cycles, references, leaf, False
 
-    def _notify_pt_fill(
-        self, kind, line: int, nested: bool, guest: bool
-    ) -> None:
-        """Inline of the chip's walker fill listener (common case).
 
-        Replicates :meth:`Chip.on_translation_fill`: CACHE-kind messages
-        mark the line's nPT/gPT directory bits; translation-structure
-        fills additionally record the CPU as a sharer when the protocol
-        tracks translation sharers.  Capacity pressure and fine-grained
-        directories fall back to the reference listener (which handles
-        back-invalidations).
-        """
-        directory = self._fast_dir
-        if directory is not None:
-            entries = directory._entries
-            entry = entries.get(line)
-            if entry is None:
-                capacity = directory.capacity
-                if capacity is None or len(entries) < capacity:
-                    directory.stats.lookups += 1
-                    directory.stats.allocations += 1
-                    entry = DirectoryEntry(line=line)
-                    entries[line] = entry
-                else:
-                    entry = None
-            else:
-                directory.stats.lookups += 1
-                entries.move_to_end(line)
-            if entry is not None:
-                if (
-                    kind is not SharerKind.CACHE
-                    and self._fast_track
-                ):
-                    entry.sharers.add(self._fast_cpu)
-                if nested and not entry.is_nested_pt:
-                    entry.is_nested_pt = True
-                if guest and not entry.is_guest_pt:
-                    entry.is_guest_pt = True
-                return
-        if self.fill_listener is not None:
-            self.fill_listener(kind, line, nested, guest)
-
-
-def install_fast_paths(chip) -> bool:
+def install_fast_paths(chip) -> None:
     """Swap a chip's hot components for their fast implementations.
 
     The swap is pure implementation: each component keeps its state and
-    statistics objects, only the method implementations change.  Only
-    simulator-built machines (whose hierarchies use the chip's own
-    listener) are eligible; returns False when any core could not be
-    swapped, in which case the caller should stay on the reference
-    engine.
+    statistics objects, only the method implementations change.  Every
+    core is :class:`Chip`-built, so its caches share
+    ``CACHE_LINE_SIZE`` and its listener is the chip's.
     """
     directory = chip.directory
     inline_dir = not directory.fine_grained and directory.lazy_pt_sharer_updates
-    # eligibility is checked read-only for every core BEFORE any class
-    # swap, so an ineligible machine is left fully untouched (a partial
-    # swap would make the reference-engine fallback run fast-path code)
-    for core in chip.cores:
-        hierarchy = core.hierarchy
-        if not (
-            hierarchy.l1.line_size
-            == hierarchy.l2.line_size
-            == hierarchy.llc.line_size
-            == CACHE_LINE_SIZE
-        ):
-            return False  # pragma: no cover - simulator caches share a line size
-        if hierarchy.listener is not None and not isinstance(
-            hierarchy.listener, _CacheListener
-        ):
-            return False  # pragma: no cover - foreign listener, stay on reference
     for core in chip.cores:
         hierarchy = core.hierarchy
         hierarchy.__class__ = FastCacheHierarchy
         hierarchy.access_cycles = _make_access_cycles(
             hierarchy, directory if inline_dir else None
         )
-        if type(core.walker) is PageTableWalker:
-            walker = core.walker
-            walker.__class__ = FastPageTableWalker
-            walker._fast_dir = None if directory.fine_grained else directory
-            walker._fast_track = chip.track_translation_sharers
-            walker._fast_cpu = core.cpu_id
+        core.walker.__class__ = FastPageTableWalker
         for structure in core.translation_structures():
-            fast_cls = _FAST_STRUCTURE_CLASSES.get(type(structure))
-            if fast_cls is not None:
-                structure.__class__ = fast_cls
-                structure._fast_init_index()
-    return True
+            structure.__class__ = _FAST_STRUCTURE_CLASSES[type(structure)]
+            structure._fast_init_index()
 
 
 # ----------------------------------------------------------------------
@@ -877,9 +745,11 @@ class FastPathExecutor:
     """Batch executor retiring steady-state references in bulk.
 
     Keeps the reference engine's exact round-robin interleaving (chunks
-    of ``_INTERLEAVE_CHUNK`` references per vCPU) and falls back to
-    :meth:`Simulator._execute_reference` for any reference that is not
-    fully steady-state.
+    of ``_INTERLEAVE_CHUNK`` references per vCPU).  An L1-TLB hit
+    retires inline, through the flattened hierarchy when its data line
+    misses the L1; every L1-TLB miss runs
+    :meth:`Simulator._execute_reference`, the reference engine's own
+    per-reference code.
 
     Right after an exact round in which every chunk was fully steady
     (and only when no per-round hook observes the span), the executor
@@ -924,19 +794,6 @@ class FastPathExecutor:
         self._vm_of_stream = (
             trace.vm_of_vcpu if simulator.stats.vms else None
         )
-        # Memoize the page tables the traced contexts walk.
-        installed: set[int] = set()
-        for ctx in contexts:
-            for table, fast_cls in (
-                (ctx.guest_page_table, FastGuestPageTable),
-                (ctx.nested_page_table, FastNestedPageTable),
-            ):
-                if id(table) in installed:
-                    continue
-                installed.add(id(table))
-                if type(table) in (GuestPageTable, NestedPageTable):
-                    table.__class__ = fast_cls
-                    table._fast_init_memo()
         config = simulator.config
         self._paged = config.placement == PLACEMENT_PAGED
         self._defrag = config.paging.defrag_interval > 0
@@ -1029,21 +886,18 @@ class FastPathExecutor:
             # (reference-engine attribution order)
             stats.vm_of_cpu[cpu] = self._vm_of_stream[vcpu]
             vm_stats = stats.vms[self._vm_of_stream[vcpu]]
-        costs = sim.config.costs
-        l1_tlb_latency = costs.l1_tlb_latency
-        l2_tlb_latency = costs.l2_tlb_latency
+        l1_tlb_latency = sim.config.costs.l1_tlb_latency
 
         tlb1 = core.tlb_l1
         tlb1_entries = tlb1._entries
         tlb1_move = tlb1_entries.move_to_end
-        tlb2_entries = core.tlb_l2._entries
         l1 = core.l1
         l1_sets = l1._sets
         l1_latency = l1.latency
         l1_line_size = l1.line_size
         l1_num_sets = l1.num_sets
         access_cycles = core.hierarchy.access_cycles
-        slow_reference = self._slow_reference
+        execute_reference = sim._execute_reference
         vm_id = ctx.vm_id
 
         hypervisor = sim.hypervisor
@@ -1061,13 +915,11 @@ class FastPathExecutor:
         line_mask = ~(l1_line_size - 1)
         offset_mask = PAGE_SIZE - 1
 
-        # per-chunk accumulators, flushed once at the end
-        tlb1_lookups = tlb1_hits = tlb1_misses = 0
-        tlb2_lookups = tlb2_hits = 0
-        l1_accesses = l1_hits = 0
+        # per-chunk accumulators, flushed once at the end: every inline
+        # reference is an L1-TLB hit, and every L1 data hit a warm one
+        tlb1_hits = 0
         warm_refs = 0
         extra_cycles = 0
-        instructions = 0
         # steady-state chain: last reference was fully warm on this page
         prev_gvp = -1
         prev_spp = 0
@@ -1078,37 +930,18 @@ class FastPathExecutor:
                 # Same page as the previous fully-warm reference: its
                 # TLB entry is already most-recently-used, so the
                 # reference lookup is pure statistics.
-                tlb1_lookups += 1
-                tlb1_hits += 1
                 spp = prev_spp
-                base_cycles = l1_tlb_latency
             else:
                 prev_gvp = -1
                 key = (vm_id, gvp)
                 entry = tlb1_entries.get(key)
-                if entry is not None:
-                    tlb1_move(key)
-                    tlb1_lookups += 1
-                    tlb1_hits += 1
-                    spp = entry.value
-                    base_cycles = l1_tlb_latency
-                else:
-                    entry = tlb2_entries.get(key)
-                    if entry is None:
-                        # TLB miss: full reference path (walk / faults).
-                        slow_reference(cpu, ctx, gva, is_write)
-                        continue
-                    tlb2_entries.move_to_end(key)
-                    tlb1_lookups += 1
-                    tlb1_misses += 1
-                    tlb2_lookups += 1
-                    tlb2_hits += 1
-                    tlb1.insert(
-                        key, entry.value, cotag=entry.cotag, pt_line=entry.pt_line
-                    )
-                    spp = entry.value
-                    base_cycles = l1_tlb_latency + l2_tlb_latency
-            instructions += 1
+                if entry is None:
+                    # L1-TLB miss: the reference engine's own path.
+                    execute_reference(cpu, ctx, gva, is_write)
+                    continue
+                tlb1_move(key)
+                spp = entry.value
+            tlb1_hits += 1
             if paged:
                 if defrag:
                     if on_data_access(spp, cpu):
@@ -1131,130 +964,30 @@ class FastPathExecutor:
                 line_set.move_to_end(line)
                 if is_write:
                     cache_line.dirty = True
-                l1_accesses += 1
-                l1_hits += 1
-                if base_cycles == l1_tlb_latency:
-                    warm_refs += 1
-                    if not defrag:
-                        prev_gvp = gvp
-                        prev_spp = spp
-                else:
-                    extra_cycles += base_cycles + l1_latency
+                warm_refs += 1
+                if not defrag:
+                    prev_gvp = gvp
+                    prev_spp = spp
                 continue
             # L1 data miss: the flattened hierarchy handles the rest
             # (it may back-invalidate translations, so break the chain).
             prev_gvp = -1
-            extra_cycles += base_cycles + access_cycles(spa, is_write)
+            extra_cycles += l1_tlb_latency + access_cycles(spa, is_write)
 
-        if instructions:
-            cpu_stats.instructions += instructions
-            cpu_stats.busy_cycles += warm_refs * warm_cost + extra_cycles
+        if tlb1_hits:
+            busy_cycles = warm_refs * warm_cost + extra_cycles
+            cpu_stats.instructions += tlb1_hits
+            cpu_stats.busy_cycles += busy_cycles
             if vm_stats is not None:
-                vm_stats.instructions += instructions
-                vm_stats.busy_cycles += warm_refs * warm_cost + extra_cycles
+                vm_stats.instructions += tlb1_hits
+                vm_stats.busy_cycles += busy_cycles
             tlb1_stats = tlb1.stats
-            tlb1_stats.lookups += tlb1_lookups
+            tlb1_stats.lookups += tlb1_hits
             tlb1_stats.hits += tlb1_hits
-            tlb1_stats.misses += tlb1_misses
-            tlb2_stats = core.tlb_l2.stats
-            tlb2_stats.lookups += tlb2_lookups
-            tlb2_stats.hits += tlb2_hits
             l1_stats = l1.stats
-            l1_stats.accesses += l1_accesses
-            l1_stats.hits += l1_hits
+            l1_stats.accesses += warm_refs
+            l1_stats.hits += warm_refs
         return warm_refs
-
-    def _slow_reference(self, cpu: int, ctx, gva: int, is_write: bool) -> None:
-        """One non-steady-state reference (reference ``_execute_reference``).
-
-        Inline replica of :meth:`Simulator._execute_reference` for the
-        fast engine (which never runs in validation mode): the TLB
-        probes, fault-retry loop, hypervisor hooks and data access are
-        the same operations against the same state, minus the per-layer
-        call frames and result objects.
-        """
-        from repro.sim.simulator import _MAX_FAULT_RETRIES
-
-        sim = self.simulator
-        stats = sim.stats
-        cpu_stats = stats.cpus[cpu]
-        # cycle charges below go through stats.charge_cpu, which owns the
-        # per-VM attribution (vm_of_cpu) shared with the reference engine
-        charge_cpu = stats.charge_cpu
-        core = sim.chip.cores[cpu]
-        costs = sim.config.costs
-        l1_tlb_latency = costs.l1_tlb_latency
-        l2_tlb_latency = costs.l2_tlb_latency
-        tlb1 = core.tlb_l1
-        tlb2 = core.tlb_l2
-        walker_walk = core.walker.walk
-        cpu_stats.instructions += 1
-        if stats.vms:
-            stats.vms[stats.vm_of_cpu[cpu]].instructions += 1
-        gvp = gva >> PAGE_SHIFT
-        key = (ctx.vm_id, gvp)
-        spp = 0
-
-        for _ in range(_MAX_FAULT_RETRIES):
-            # inline core.translate
-            stats1 = tlb1.stats
-            stats1.lookups += 1
-            entry = tlb1._entries.get(key)
-            cycles = l1_tlb_latency
-            fault = None
-            if entry is not None:
-                stats1.hits += 1
-                tlb1._entries.move_to_end(key)
-                spp = entry.value
-            else:
-                stats1.misses += 1
-                cycles += l2_tlb_latency
-                stats2 = tlb2.stats
-                stats2.lookups += 1
-                entry = tlb2._entries.get(key)
-                if entry is not None:
-                    stats2.hits += 1
-                    tlb2._entries.move_to_end(key)
-                    tlb1.insert(
-                        key, entry.value, cotag=entry.cotag, pt_line=entry.pt_line
-                    )
-                    spp = entry.value
-                else:
-                    stats2.misses += 1
-                    walk = walker_walk(ctx, gvp, is_write=is_write)
-                    cycles += walk.cycles
-                    spp = walk.spp
-                    fault = walk.fault
-            charge_cpu(cpu, cycles)
-            if fault is None:
-                break
-            if fault == "guest":
-                ctx.ensure_guest_mapping(gvp)
-                charge_cpu(cpu, costs.page_fault_overhead // 2)
-                stats.count("guest.minor_faults")
-            elif fault == "nested":
-                gpp = ctx.gpp_of(gvp)
-                if gpp is None:
-                    ctx.ensure_guest_mapping(gvp)
-                    gpp = ctx.gpp_of(gvp)
-                # evaluate BEFORE charging: the handler charges eviction
-                # and coherence cycles to the same counters internally
-                fault_cycles = sim.hypervisor.handle_nested_fault(ctx, gpp, cpu)
-                charge_cpu(cpu, fault_cycles)
-        else:
-            raise RuntimeError(
-                f"reference to gva {gva:#x} did not resolve after "
-                f"{_MAX_FAULT_RETRIES} fault retries"
-            )
-
-        # The slow path runs once per non-steady reference, so the
-        # hypervisor hook is called directly (exactly as the reference
-        # engine does) rather than inlined like the warm loop.
-        if sim.hypervisor.on_data_access(spp, cpu):
-            stats.count("paging.defrag_access_stalls")
-        spa = (spp << PAGE_SHIFT) | (gva & (PAGE_SIZE - 1))
-        charge_cpu(cpu, core.hierarchy.access_cycles(spa, is_write))
-
 
     # ------------------------------------------------------------------
     # bulk retirement

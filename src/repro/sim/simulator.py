@@ -24,12 +24,10 @@ from repro.cpu.chip import Chip
 from repro.energy.model import EnergyBreakdown, EnergyModel, EnergyParameters
 from repro.sim.engine import (
     ENGINE_FAST,
-    ENGINE_REFERENCE,
     install_fast_paths,
     make_executor,
     resolve_engine,
 )
-from repro.obs.log import get_logger
 from repro.obs.trace import active_tracer
 from repro.sim.config import SystemConfig
 from repro.sim.stats import IntervalSample, MachineStats
@@ -42,8 +40,6 @@ from repro.workloads.base import (
     Workload,
     WorkloadTrace,
 )
-
-logger = get_logger(__name__)
 
 #: references processed per vCPU before moving to the next one.
 _INTERLEAVE_CHUNK = 32
@@ -254,15 +250,8 @@ class Simulator:
             fine_grained_directory=config.directory.fine_grained,
         )
         self.engine = resolve_engine(engine, validate=validate)
-        if self.engine == ENGINE_FAST and not install_fast_paths(
-            self.chip
-        ):  # pragma: no cover - exotic geometry
-            logger.warning(
-                "engine %s unavailable for this geometry; falling back to %s",
-                self.engine,
-                ENGINE_REFERENCE,
-            )
-            self.engine = ENGINE_REFERENCE
+        if self.engine == ENGINE_FAST:
+            install_fast_paths(self.chip)
         self.closed = False
 
     def close(self) -> None:
@@ -535,6 +524,11 @@ class Simulator:
     def _execute_reference(
         self, cpu: int, ctx: GuestProcess, gva: int, is_write: bool
     ) -> None:
+        """Execute one reference on ``cpu``: translate, fault, access.
+
+        The slow path of both engines: the fast engine runs it for every
+        reference that misses the L1 TLB.
+        """
         core = self.chip.core(cpu)
         stats = self.stats
         stats.cpus[cpu].instructions += 1

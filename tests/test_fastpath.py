@@ -183,9 +183,21 @@ def test_multiprogrammed_mix_identical():
 
 
 def test_back_invalidations_actually_exercised():
-    """The tiny-directory variant really takes the capacity fallback."""
-    config = small_config(directory=CoherenceDirectoryConfig(capacity=96))
+    """The digest matrix's variants reach the slow path they guard.
+
+    On the fast engine every L1-TLB miss runs the reference engine's
+    per-reference code: L2-TLB hits, guest and nested faults.  The
+    tiny-directory variant also takes the capacity fallback of the
+    flattened hierarchy and walker fills (back-invalidations).
+    """
     spec = matrix_spec(1)
+    simulator = Simulator(small_config(), engine=ENGINE_FAST)
+    result = simulator.run(make_workload(spec.name))
+    assert sum(core.tlb_l2.stats.hits for core in simulator.chip.cores) > 0
+    assert result.events.get("guest.minor_faults", 0) > 0
+    assert result.events.get("paging.nested_faults", 0) > 0
+
+    config = small_config(directory=CoherenceDirectoryConfig(capacity=96))
     simulator = Simulator(config, engine=ENGINE_FAST)
     result = simulator.run(make_workload(spec.name))
     assert result.events.get("directory.back_invalidations", 0) > 0

@@ -14,6 +14,7 @@ import asyncio
 import contextlib
 import gc
 import json
+import logging
 import multiprocessing
 import os
 import signal
@@ -107,6 +108,20 @@ def connections(monkeypatch):
 
     monkeypatch.setattr(ReproServer, "_handle", counted)
     return counts
+
+
+@pytest.fixture
+def asyncio_log():
+    """The records the ``asyncio`` logger emits during the test."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("asyncio")
+    logger.addHandler(handler)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
 
 
 async def read_reply(reader) -> tuple[int, dict, bytes]:
@@ -533,7 +548,8 @@ class TestStreaming:
 
 class TestCompositePayloads:
     def test_sweep_matches_direct_sweep(self, tmp_path):
-        from repro.api import Sweep
+        from repro.api import ExperimentScale, Sweep
+        from repro.experiments.output import sweep_table
 
         axes = {
             "protocol": ["software", "hatric"],
@@ -548,6 +564,7 @@ class TestCompositePayloads:
                         "axes": axes,
                         "base": {"num_cpus": 2},
                         "normalize": {"protocol": "ideal"},
+                        "scale": {"trace_scale": 0.1},
                     },
                 )
                 assert status == 200
@@ -560,7 +577,7 @@ class TestCompositePayloads:
         direct = (
             Sweep(axes=axes, base=SystemConfig(num_cpus=2))
             .normalize_to(protocol="ideal")
-            .run(Session())
+            .run(Session(), ExperimentScale(trace_scale=0.1))
         )
         served = {
             tuple(cell["coords"].items()): cell["normalized_runtime"]
@@ -570,6 +587,8 @@ class TestCompositePayloads:
             assert served[
                 tuple(cell.coords.items())
             ] == pytest.approx(cell.normalized_runtime)
+        # the CLI and the service render a sweep with one function
+        assert body["table"] == sweep_table(direct)
 
     def test_fleet_request_round_trips(self, tmp_path):
         from repro.experiments.fleet import fleet_spec
@@ -772,6 +791,101 @@ class TestShutdown:
             assert connections["closed"] == 3
 
         asyncio.run(scenario())
+
+    @staticmethod
+    async def stop_mid_run(tmp_path, client_call):
+        """Start ``client_call(client)`` on a cold run, stop the server
+        while the run is in flight, and return what the call returned
+        and how long the stop took."""
+        service = SimulationService(
+            ServiceSettings(cache_dir=tmp_path / "store", workers=0)
+        )
+        server = ReproServer(service)
+        host, port = await server.start()
+        task = asyncio.ensure_future(client_call(ServiceClient(host, port)))
+        while not service.metrics.executed:
+            await asyncio.sleep(0.01)
+        started = time.perf_counter()
+        await asyncio.wait_for(server.stop(), 10)
+        elapsed = time.perf_counter() - started
+        return await asyncio.wait_for(task, 10), elapsed
+
+    def test_run_in_flight_gets_a_structured_503(self, tmp_path, asyncio_log):
+        payload = {"request": run_request(refs=30_000).to_dict()}
+
+        async def post(client):
+            return await client.post("/run", payload)
+
+        (status, body), elapsed = asyncio.run(
+            self.stop_mid_run(tmp_path, post)
+        )
+        assert elapsed < 3
+        assert status == 503
+        assert body["ok"] is False
+        assert body["error"]["code"] == "shutting-down"
+        assert asyncio_log == []
+
+    def test_stream_in_flight_gets_an_error_event_and_ends(
+        self, tmp_path, asyncio_log
+    ):
+        payload = {"request": run_request(refs=30_000).to_dict()}
+
+        async def stream(client):
+            return [
+                item async for item in client.stream("/run/stream", payload)
+            ]
+
+        events, elapsed = asyncio.run(self.stop_mid_run(tmp_path, stream))
+        assert elapsed < 3
+        assert events[0][0] == "queued"
+        event, data = events[-1]
+        assert (event, data["code"]) == ("error", "shutting-down")
+        assert asyncio_log == []
+
+    def test_requests_caught_mid_read_by_stop(
+        self, tmp_path, monkeypatch, asyncio_log
+    ):
+        """A request whose body arrives during stop() gets a 503; one
+        whose body never arrives is closed after the idle timeout."""
+        monkeypatch.setattr(http, "IDLE_TIMEOUT_S", 0.5)
+        body = run_body(run_request())
+        head = f"POST /run HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
+
+        async def scenario():
+            service = SimulationService(
+                ServiceSettings(cache_dir=tmp_path / "store", workers=0)
+            )
+            server = ReproServer(service)
+            host, port = await server.start()
+            connections = [
+                await asyncio.open_connection(host, port) for _ in range(2)
+            ]
+            for _, writer in connections:
+                writer.write(head.encode())
+                await writer.drain()
+            # both handlers have read their request line and wait for
+            # the body
+            while len(server._handlers) < 2 or server._idle:
+                await asyncio.sleep(0.01)
+            started = time.perf_counter()
+            stop = asyncio.ensure_future(server.stop())
+            while server._server is not None:
+                await asyncio.sleep(0)
+            (late_reader, late_writer), (stalled_reader, _) = connections
+            late_writer.write(body)
+            status, _, reply = await read_reply(late_reader)
+            await asyncio.wait_for(stop, 10)
+            assert time.perf_counter() - started < 3
+            assert await server_closed(stalled_reader)
+            for _, writer in connections:
+                writer.close()
+            return status, json.loads(reply), service.metrics.requests
+
+        status, reply, admitted = asyncio.run(scenario())
+        assert status == 503
+        assert reply["error"]["code"] == "shutting-down"
+        assert admitted == 0
+        assert asyncio_log == []
 
 
 class TestClientPool:
