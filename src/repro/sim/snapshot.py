@@ -14,6 +14,39 @@ and engines, is:
     the reference and fast engines (and across them, since the engines
     are themselves bit-identical).
 
+Layout (schema 2).  Every structure that holds one item per cached
+entry is stored as a few flat integer columns in LRU order, so the
+number of JSON lists and dicts does not grow with occupancy and JSON
+encoding and decoding pay per integer, not per nested list:
+
+* a translation structure: ``keys`` (each lookup key's integers in
+  turn: two per TLB and nTLB key, three per MMU-cache key),
+  ``values``, ``cotags`` and ``pt_lines`` (-1 for none);
+* a cache (L1, L2, LLC): per-set ``counts`` and one ``lines`` column of
+  ``address << 2 | is_page_table << 1 | dirty``;
+* the directory: ``lines`` (``line << 2 | nested << 1 | guest``),
+  ``owners`` (-1 for none), a ``sharers`` bitmask per entry, and the
+  sparse fine-grained rows ``fine_entries`` (entry index),
+  ``fine_kinds`` and ``fine_sharers``.  Masks are plain JSON ints:
+  ``num_cpus`` has no upper bound, so a mask can outgrow int64;
+* the hypervisor: ``resident`` and ``backing`` as ``vm_ids``/``gpps``/
+  ``spps``, ``vm_pages`` as per-VM ``counts`` over one ``gpps``
+  column, and the paging policy's queue as ``vm_ids``/``gpps`` (plus
+  ``referenced`` for the CLOCK policy).
+
+Decoding refills the machine's existing containers in place (the fast
+engine holds references to them) and rebuilds sharer sets in ascending
+CPU order, as ``set(sorted(...))`` would.  It refuses columns of
+unequal length and counts that do not tile their column with
+:class:`SnapshotError`, because ``zip`` would silently truncate them
+and restore a different machine.
+
+Page tables keep the nested per-node codec (:func:`_encode_node`,
+:func:`_load_table`).  The fleet's migration payload
+(:mod:`repro.fleet.transport`) ships guest page tables with the same
+codec, and its byte count feeds the pinned fleet fingerprints; page
+tables are also only about 8% of a checkpoint's bytes.
+
 Snapshots are captured only at **round-aligned** executor positions
 (every stream at ``warmup_start + k * chunk``), because those are
 exactly the states that a longer run over the same trace prefix also
@@ -50,6 +83,7 @@ from repro.translation.page_table import (
     _Node,
 )
 from repro.translation.structures import (
+    MMUCache,
     TranslationEntry,
     TranslationStructureStats,
 )
@@ -62,7 +96,8 @@ from repro.workloads.base import WorkloadTrace
 #: behaviour changes in a way that makes old mid-run state unreusable.
 #: Stamped into every snapshot; :func:`validate_snapshot` refuses any
 #: other value, so stale on-disk checkpoints can never resurrect.
-SNAPSHOT_SCHEMA_VERSION = 1
+#: Version 2 stores per-entry state as flat integer columns.
+SNAPSHOT_SCHEMA_VERSION = 2
 
 
 class SnapshotError(ValueError):
@@ -106,34 +141,102 @@ def trace_prefix_digest(trace: WorkloadTrace, positions: list[int]) -> str:
 
 
 # ----------------------------------------------------------------------
-# low-level encoders / decoders
+# columns
 # ----------------------------------------------------------------------
-def _encode_key(key: Any) -> Any:
-    return list(key) if isinstance(key, tuple) else key
+#: Stands for ``None`` in integer columns (co-tags, page-table lines and
+#: directory owners are never negative).
+_NONE = -1
+
+#: Fine-grained sharer kinds by their column code.
+_SHARER_KINDS = tuple(SharerKind)
+_KIND_CODES = {kind: code for code, kind in enumerate(_SHARER_KINDS)}
 
 
-def _decode_key(key: Any) -> Any:
-    return tuple(key) if isinstance(key, list) else key
+def _columns(data: dict[str, Any], *names: str) -> list[Any]:
+    """The named columns of ``data``, refused unless equally long.
+
+    ``zip`` would silently truncate to the shortest column and restore
+    a different machine.
+    """
+    columns = [data[name] for name in names]
+    lengths = {len(column) for column in columns}
+    if len(lengths) > 1:
+        raise SnapshotError(
+            f"snapshot columns {', '.join(names)} differ in length"
+        )
+    return columns
+
+
+def _check_counts(counts: list[int], total: int, what: str) -> None:
+    """Refuse per-group counts that do not tile a column of ``total``."""
+    if sum(counts) != total or (counts and min(counts) < 0):
+        raise SnapshotError(
+            f"{what} counts do not tile its {total}-entry column"
+        )
+
+
+def _mask(cpus) -> int:
+    """A CPU set as a bitmask (a plain int: ``num_cpus`` is unbounded)."""
+    mask = 0
+    for cpu in cpus:
+        mask |= 1 << cpu
+    return mask
+
+
+def _mask_cpus(mask: int, num_cpus: int) -> tuple[int, ...]:
+    """The CPUs of a bitmask in ascending order.
+
+    Sets rebuilt from it therefore equal the ``set(sorted(...))`` of
+    the captured set, iteration order included.
+    """
+    if mask < 0 or mask >> num_cpus:
+        raise SnapshotError(
+            f"sharer mask {mask} names a CPU outside 0..{num_cpus - 1}"
+        )
+    return tuple(cpu for cpu in range(mask.bit_length()) if mask >> cpu & 1)
+
+
+def _key_width(structure) -> int:
+    """Integers per lookup key (see each structure's ``key_for``)."""
+    return 3 if isinstance(structure, MMUCache) else 2
 
 
 def _encode_structure(structure) -> dict[str, Any]:
+    entries = structure._entries.values()
     return {
         "name": structure.name,
         "stats": vars(structure.stats).copy(),
-        "entries": [
-            [_encode_key(entry.key), entry.value, entry.cotag, entry.pt_line]
-            for entry in structure._entries.values()
+        "keys": [part for entry in entries for part in entry.key],
+        "values": [entry.value for entry in entries],
+        "cotags": [
+            _NONE if entry.cotag is None else entry.cotag for entry in entries
+        ],
+        "pt_lines": [
+            _NONE if entry.pt_line is None else entry.pt_line
+            for entry in entries
         ],
     }
 
 
 def _load_structure(structure, data: dict[str, Any]) -> None:
+    values, cotags, pt_lines = _columns(data, "values", "cotags", "pt_lines")
+    flat_keys = data["keys"]
+    width = _key_width(structure)
+    if len(flat_keys) != width * len(values):
+        raise SnapshotError(
+            f"{structure.name} has {len(flat_keys)} key parts for "
+            f"{len(values)} entries"
+        )
+    # each run of ``width`` consecutive integers is one key tuple
+    keys = zip(*[iter(flat_keys)] * width)
     entries = structure._entries
     entries.clear()
-    for key, value, cotag, pt_line in data["entries"]:
-        decoded = _decode_key(key)
-        entries[decoded] = TranslationEntry(
-            key=decoded, value=value, cotag=cotag, pt_line=pt_line
+    for key, value, cotag, pt_line in zip(keys, values, cotags, pt_lines):
+        entries[key] = TranslationEntry(
+            key,
+            value,
+            None if cotag < 0 else cotag,
+            None if pt_line < 0 else pt_line,
         )
     structure.stats = TranslationStructureStats(**data["stats"])
     if hasattr(structure, "_fast_init_index"):
@@ -142,68 +245,99 @@ def _load_structure(structure, data: dict[str, Any]) -> None:
 
 
 def _encode_cache(cache: Cache) -> dict[str, Any]:
+    sets = cache._sets
     return {
         "stats": vars(cache.stats).copy(),
-        "sets": [
-            [
-                [line.address, line.dirty, line.is_page_table]
-                for line in cache_set.values()
-            ]
-            for cache_set in cache._sets
+        "counts": [len(cache_set) for cache_set in sets],
+        "lines": [
+            line.address << 2 | line.is_page_table << 1 | line.dirty
+            for cache_set in sets
+            for line in cache_set.values()
         ],
     }
 
 
 def _load_cache(cache: Cache, data: dict[str, Any]) -> None:
-    if len(data["sets"]) != cache.num_sets:
+    counts = data["counts"]
+    words = data["lines"]
+    if len(counts) != cache.num_sets:
         raise SnapshotError(
             f"cache {cache.name} has {cache.num_sets} sets, snapshot has "
-            f"{len(data['sets'])}"
+            f"{len(counts)}"
         )
-    for cache_set, lines in zip(cache._sets, data["sets"]):
+    _check_counts(counts, len(words), f"cache {cache.name} set")
+    lines = [
+        CacheLine(word >> 2, word & 1 == 1, word & 2 == 2) for word in words
+    ]
+    start = 0
+    for cache_set, count in zip(cache._sets, counts):
         cache_set.clear()
-        for address, dirty, is_page_table in lines:
-            cache_set[address] = CacheLine(
-                address=address, dirty=dirty, is_page_table=is_page_table
-            )
+        for line in lines[start:start + count]:
+            cache_set[line.address] = line
+        start += count
     cache.stats = CacheStats(**data["stats"])
 
 
 def _encode_directory(directory) -> dict[str, Any]:
+    entries = list(directory._entries.values())
+    fine = [
+        (index, _KIND_CODES[kind], _mask(cpus))
+        for index, entry in enumerate(entries)
+        if entry.fine_sharers
+        for kind, cpus in entry.fine_sharers.items()
+    ]
     return {
         "stats": vars(directory.stats).copy(),
-        "entries": [
-            [
-                entry.line,
-                sorted(entry.sharers),
-                entry.owner,
-                entry.is_nested_pt,
-                entry.is_guest_pt,
-                [
-                    [kind.value, sorted(cpus)]
-                    for kind, cpus in entry.fine_sharers.items()
-                ],
-            ]
-            for entry in directory._entries.values()
+        "lines": [
+            entry.line << 2 | entry.is_nested_pt << 1 | entry.is_guest_pt
+            for entry in entries
         ],
+        "owners": [
+            _NONE if entry.owner is None else entry.owner
+            for entry in entries
+        ],
+        "sharers": [_mask(entry.sharers) for entry in entries],
+        "fine_entries": [index for index, _, _ in fine],
+        "fine_kinds": [kind for _, kind, _ in fine],
+        "fine_sharers": [mask for _, _, mask in fine],
     }
 
 
 def _load_directory(directory, data: dict[str, Any]) -> None:
+    words, owners, masks = _columns(data, "lines", "owners", "sharers")
+    fine_entries, fine_kinds, fine_masks = _columns(
+        data, "fine_entries", "fine_kinds", "fine_sharers"
+    )
+    num_cpus = directory.num_cpus
+    cpus_of = {
+        mask: _mask_cpus(mask, num_cpus) for mask in {*masks, *fine_masks}
+    }
     entries = directory._entries
     entries.clear()
-    for line, sharers, owner, is_nested, is_guest, fine in data["entries"]:
-        entry = DirectoryEntry(
-            line=line,
-            sharers=set(sharers),
-            owner=owner,
-            is_nested_pt=is_nested,
-            is_guest_pt=is_guest,
+    for word, owner, mask in zip(words, owners, masks):
+        line = word >> 2
+        entries[line] = DirectoryEntry(
+            line,
+            set(cpus_of[mask]),
+            None if owner < 0 else owner,
+            word & 2 == 2,
+            word & 1 == 1,
+            {},
         )
-        entry.fine_sharers = {
-            SharerKind(kind): set(cpus) for kind, cpus in fine
-        }
-        entries[line] = entry
+    if len(entries) != len(words):
+        raise SnapshotError("snapshot directory repeats a line")
+    if fine_entries:
+        loaded = list(entries.values())
+        kinds = len(_SHARER_KINDS)
+        for index, kind, mask in zip(fine_entries, fine_kinds, fine_masks):
+            if not (0 <= index < len(loaded) and 0 <= kind < kinds):
+                raise SnapshotError(
+                    f"fine-grained sharer row ({index}, {kind}) names no "
+                    f"directory entry or sharer kind"
+                )
+            loaded[index].fine_sharers[_SHARER_KINDS[kind]] = set(
+                cpus_of[mask]
+            )
     directory.stats = DirectoryStats(**data["stats"])
 
 
@@ -271,16 +405,58 @@ def _load_machine_stats(stats, data: dict[str, Any]) -> None:
     stats.vm_of_cpu = list(data["vm_of_cpu"])
 
 
+def _key_columns(keys) -> dict[str, list[int]]:
+    """``(vm_id, gpp)`` page keys as a VM column and a page column."""
+    return {
+        "vm_ids": [vm_id for vm_id, _ in keys],
+        "gpps": [gpp for _, gpp in keys],
+    }
+
+
+def _encode_page_map(pages: dict) -> dict[str, list[int]]:
+    """A ``(vm_id, gpp) -> spp`` map as three columns, in map order."""
+    return {**_key_columns(pages), "spps": list(pages.values())}
+
+
+def _load_page_map(pages: dict, data: dict[str, Any]) -> None:
+    vm_ids, gpps, spps = _columns(data, "vm_ids", "gpps", "spps")
+    pages.clear()
+    pages.update(zip(zip(vm_ids, gpps), spps))
+
+
+def _encode_vm_pages(vm_pages: dict) -> dict[str, list[int]]:
+    # every key of a VM's map is ``(vm_id, gpp)`` of that VM
+    # (``Hypervisor._fault_in`` is its only writer), so pages are
+    # stored by their gpp alone
+    return {
+        "vm_ids": list(vm_pages),
+        "counts": [len(pages) for pages in vm_pages.values()],
+        "gpps": [gpp for pages in vm_pages.values() for _, gpp in pages],
+    }
+
+
+def _load_vm_pages(vm_pages: dict, data: dict[str, Any]) -> None:
+    vm_ids, counts = _columns(data, "vm_ids", "counts")
+    gpps = data["gpps"]
+    _check_counts(counts, len(gpps), "per-VM page")
+    vm_pages.clear()
+    start = 0
+    for vm_id, count in zip(vm_ids, counts):
+        end = start + count
+        vm_pages[vm_id] = dict.fromkeys(
+            [(vm_id, gpp) for gpp in gpps[start:end]]
+        )
+        start = end
+
+
 def _encode_policy(policy) -> dict[str, Any]:
     if isinstance(policy, FifoPolicy):
-        return {"kind": "fifo", "queue": [list(key) for key in policy._queue]}
+        return {"kind": "fifo", **_key_columns(policy._queue)}
     if isinstance(policy, ClockPolicy):
         return {
             "kind": "lru",
-            "pages": [
-                [list(key), referenced]
-                for key, referenced in policy._pages.items()
-            ],
+            **_key_columns(policy._pages),
+            "referenced": [int(bit) for bit in policy._pages.values()],
         }
     raise SnapshotError(  # pragma: no cover - no third policy exists today
         f"cannot snapshot paging policy {type(policy).__name__}"
@@ -291,16 +467,20 @@ def _load_policy(policy, data: dict[str, Any]) -> None:
     if isinstance(policy, FifoPolicy):
         if data["kind"] != "fifo":
             raise SnapshotError("paging policy kind mismatch")
+        vm_ids, gpps = _columns(data, "vm_ids", "gpps")
         policy._queue.clear()
-        for key in data["queue"]:
-            policy._queue[tuple(key)] = None
+        policy._queue.update(dict.fromkeys(zip(vm_ids, gpps)))
         return
     if isinstance(policy, ClockPolicy):
         if data["kind"] != "lru":
             raise SnapshotError("paging policy kind mismatch")
+        vm_ids, gpps, referenced = _columns(
+            data, "vm_ids", "gpps", "referenced"
+        )
         policy._pages.clear()
-        for key, referenced in data["pages"]:
-            policy._pages[tuple(key)] = referenced
+        policy._pages.update(
+            zip(zip(vm_ids, gpps), [bit == 1 for bit in referenced])
+        )
         return
     raise SnapshotError(  # pragma: no cover - no third policy exists today
         f"cannot restore paging policy {type(policy).__name__}"
@@ -427,22 +607,13 @@ def capture_snapshot(run: Run, positions: list[int]) -> dict[str, Any]:
             },
         },
         "hypervisor": {
-            "resident": [
-                [vm_id, gpp, spp]
-                for (vm_id, gpp), spp in hypervisor.resident.items()
-            ],
-            "backing": [
-                [vm_id, gpp, spp]
-                for (vm_id, gpp), spp in hypervisor.backing.items()
-            ],
-            "vm_pages": [
-                [vm_id, [list(key) for key in pages]]
-                for vm_id, pages in hypervisor._vm_pages.items()
-            ],
-            "vm_fast_caps": [
-                [vm_id, cap]
-                for vm_id, cap in hypervisor._vm_fast_caps.items()
-            ],
+            "resident": _encode_page_map(hypervisor.resident),
+            "backing": _encode_page_map(hypervisor.backing),
+            "vm_pages": _encode_vm_pages(hypervisor._vm_pages),
+            "vm_fast_caps": {
+                "vm_ids": list(hypervisor._vm_fast_caps),
+                "caps": list(hypervisor._vm_fast_caps.values()),
+            },
             "accesses_since_defrag": hypervisor._accesses_since_defrag,
             "policy": _encode_policy(hypervisor.policy),
         },
@@ -524,8 +695,14 @@ def _load_run(
     #    (their transient frame/page-table allocations are overwritten
     #    wholesale below, so only object wiring matters here).
     vms = []
+    num_cpus = len(simulator.chip.cores)
     for vm_data in data["vms"]:
-        vm = hypervisor.create_vm(vcpu_pcpus=list(vm_data["pcpus"]))
+        pcpus = list(vm_data["pcpus"])
+        if not all(0 <= pcpu < num_cpus for pcpu in pcpus):
+            raise SnapshotError(
+                f"snapshot pins vCPUs to {pcpus}, machine has {num_cpus} CPUs"
+            )
+        vm = hypervisor.create_vm(vcpu_pcpus=pcpus)
         if vm.vm_id != vm_data["vm_id"]:
             raise SnapshotError(
                 f"restored VM id {vm.vm_id} != snapshot id "
@@ -542,6 +719,14 @@ def _load_run(
                 f"process references unknown VM {process_data['vm_id']}"
             )
         processes.append(vm.create_process())
+    process_of_vcpu = trace_data["process_of_vcpu"]
+    if len(process_of_vcpu) != trace.num_vcpus or not all(
+        0 <= process < len(processes) for process in process_of_vcpu
+    ):
+        raise SnapshotError(
+            f"snapshot maps {trace.num_vcpus} streams to processes "
+            f"{process_of_vcpu}, but has {len(processes)}"
+        )
 
     # 2. Load page tables and allocation cursors.
     for vm, vm_data in zip(vms, data["vms"]):
@@ -564,22 +749,17 @@ def _load_run(
 
     # 4. Hypervisor paging state.
     hyp_data = data["hypervisor"]
-    hypervisor.resident.clear()
+    _load_page_map(hypervisor.resident, hyp_data["resident"])
     hypervisor._resident_by_spp.clear()
-    for vm_id, gpp, spp in hyp_data["resident"]:
-        hypervisor.resident[(vm_id, gpp)] = spp
-        hypervisor._resident_by_spp[spp] = (vm_id, gpp)
-    hypervisor.backing.clear()
-    for vm_id, gpp, spp in hyp_data["backing"]:
-        hypervisor.backing[(vm_id, gpp)] = spp
-    hypervisor._vm_pages.clear()
-    for vm_id, pages in hyp_data["vm_pages"]:
-        hypervisor._vm_pages[vm_id] = {
-            tuple(key): None for key in pages
-        }
-    hypervisor._vm_fast_caps = {
-        vm_id: cap for vm_id, cap in hyp_data["vm_fast_caps"]
-    }
+    hypervisor._resident_by_spp.update(
+        zip(hypervisor.resident.values(), hypervisor.resident)
+    )
+    _load_page_map(hypervisor.backing, hyp_data["backing"])
+    _load_vm_pages(hypervisor._vm_pages, hyp_data["vm_pages"])
+    hypervisor._vm_fast_caps.clear()
+    hypervisor._vm_fast_caps.update(
+        zip(*_columns(hyp_data["vm_fast_caps"], "vm_ids", "caps"))
+    )
     hypervisor._accesses_since_defrag = hyp_data["accesses_since_defrag"]
     _load_policy(hypervisor.policy, hyp_data["policy"])
 
@@ -617,7 +797,7 @@ def _load_run(
     run = Run(
         simulator,
         trace,
-        [processes[p] for p in trace_data["process_of_vcpu"]],
+        [processes[process] for process in process_of_vcpu],
         interval_refs=telemetry["interval_refs"],
     )
     run.warmup_starts = starts

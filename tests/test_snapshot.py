@@ -29,9 +29,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.api import RunRequest, Session
 from repro.api import checkpoint as checkpoint_module
 from repro.api.checkpoint import CheckpointStore, checkpoint_family_key
-from repro.api.request import CACHE_SCHEMA_VERSION
 from repro.api.session import CHECKPOINT_COUNTERS, execute_request
-from repro.sim.config import MemoryConfig, PagingConfig, SystemConfig
+from repro.sim.config import (
+    CoherenceDirectoryConfig,
+    MemoryConfig,
+    PagingConfig,
+    SystemConfig,
+)
 from repro.sim.engine import (
     ENGINE_FAST,
     ENGINE_REFERENCE,
@@ -70,6 +74,27 @@ MULTI_WORKLOAD = (
 )
 PROTOCOLS = ("software", "unitd", "hatric", "ideal")
 
+#: Machine shapes that fill the snapshot columns the fuzz matrix (lazy,
+#: coarse-grained 4096-entry directories under the LRU policy) leaves
+#: empty: fine-grained sharer rows, eager sharer updates, an infinite
+#: directory and the FIFO paging queue.
+RARE_COLUMN_SHAPES = {
+    "fine-grained": dict(
+        directory=CoherenceDirectoryConfig(capacity=4096, fine_grained=True),
+    ),
+    "fine-eager-infinite": dict(
+        directory=CoherenceDirectoryConfig(
+            capacity=None, lazy_pt_sharer_updates=False, fine_grained=True,
+        ),
+    ),
+    "fifo-daemon": dict(
+        paging=PagingConfig(
+            policy="fifo", migration_daemon=True, daemon_free_target=8,
+            prefetch_pages=0,
+        ),
+    ),
+}
+
 
 def _config(protocol: str, num_cpus: int = 4, **overrides) -> SystemConfig:
     return small_config(
@@ -106,6 +131,65 @@ def _assert_equal_runs(result_a, digest_a, result_b, digest_b) -> None:
         result_fingerprint(result_a), result_fingerprint(result_b)
     ) + diff_fingerprints(digest_a, digest_b)
     assert not differences, "\n".join(differences[:20])
+
+
+def _gutted(snapshot: dict) -> dict:
+    """Schema stamps intact, payload body gone."""
+    return {
+        "schema": snapshot["schema"],
+        "executed_refs": snapshot["executed_refs"],
+    }
+
+
+def _unknown_process(snapshot: dict) -> dict:
+    """A stream runs a process the snapshot does not have."""
+    snapshot["trace"]["process_of_vcpu"][0] = len(snapshot["processes"])
+    return snapshot
+
+
+def _unknown_pcpu(snapshot: dict) -> dict:
+    """A vCPU pinned to a CPU the machine does not have."""
+    snapshot["vms"][0]["pcpus"][0] = snapshot["config"]["num_cpus"]
+    return snapshot
+
+
+def _short_column(snapshot: dict) -> dict:
+    """One residency column shorter than its siblings."""
+    snapshot["hypervisor"]["resident"]["spps"].pop()
+    return snapshot
+
+
+def _overrun_set_counts(snapshot: dict) -> dict:
+    """LLC set counts that sum past its line column."""
+    snapshot["chip"]["llc"]["counts"][0] += 1
+    return snapshot
+
+
+def _extra_set(snapshot: dict) -> dict:
+    """One LLC set count more than the cache has sets."""
+    snapshot["chip"]["llc"]["counts"].append(0)
+    return snapshot
+
+
+#: Shape corruptions of a stored checkpoint that must degrade to a cold
+#: run, by test id.
+CORRUPTIONS = {
+    "gutted": _gutted,
+    "unknown-process": _unknown_process,
+    "unknown-pcpu": _unknown_pcpu,
+    "short-column": _short_column,
+    "overrun-set-counts": _overrun_set_counts,
+    "extra-set": _extra_set,
+}
+
+
+def _containers(value) -> int:
+    """JSON lists and dicts in ``value``, itself included."""
+    if isinstance(value, dict):
+        return 1 + sum(_containers(item) for item in value.values())
+    if isinstance(value, list):
+        return 1 + sum(_containers(item) for item in value)
+    return 0
 
 
 def _assert_conservation(result) -> None:
@@ -217,6 +301,75 @@ class TestSnapshotRoundTrip:
             assert json.dumps(restored, sort_keys=True) == json.dumps(
                 straight, sort_keys=True
             ), f"checkpoint at {straight['executed_refs']} refs differs"
+
+    @pytest.mark.parametrize(
+        "engines",
+        [(ENGINE_FAST, ENGINE_REFERENCE), (ENGINE_REFERENCE, ENGINE_FAST)],
+        ids=["fast-to-reference", "reference-to-fast"],
+    )
+    @pytest.mark.parametrize("protocol", ["software", "hatric"])
+    @pytest.mark.parametrize("shape", sorted(RARE_COLUMN_SHAPES))
+    def test_rarely_filled_columns_round_trip(
+        self, shape, protocol, engines
+    ) -> None:
+        engine, restore_engine = engines
+        config = _config(protocol, **RARE_COLUMN_SHAPES[shape])
+        trace, snapshots, straight, straight_digest = _straight_with_snapshots(
+            config, "syn:migration-daemon/seed=7", 4000, engine,
+            warmup_refs=128, interval_refs=450, checkpoint_refs=1000,
+        )
+        payload = json.loads(json.dumps(snapshots[len(snapshots) // 2]))
+        if config.directory.fine_grained:
+            assert payload["chip"]["directory"]["fine_entries"]
+        if config.paging.policy == "fifo":
+            assert payload["hypervisor"]["policy"]["kind"] == "fifo"
+            assert payload["hypervisor"]["policy"]["gpps"]
+
+        run = restore_run(payload, trace, engine=restore_engine)
+        recaptured = json.loads(
+            json.dumps(capture_snapshot(run, run.positions))
+        )
+        assert recaptured["engine"] == restore_engine
+        assert {**recaptured, "engine": engine} == payload
+        resumed = run.simulator.resume(run)
+        _assert_equal_runs(
+            straight, straight_digest,
+            resumed, machine_digest(run.simulator),
+        )
+
+    def test_layout_does_not_grow_with_occupancy(self) -> None:
+        # every per-entry structure is a fixed set of columns, so the
+        # chip and hypervisor sections hold as many JSON lists and dicts
+        # on a near-empty machine as on a busy one
+        config = _config("hatric")
+        trace = resolve_trace(
+            make_workload("syn:migration-daemon/seed=7"),
+            config.num_cpus, config.seed, 6000,
+        )
+        simulator = Simulator(config)
+        captured: list[tuple[tuple[int, int, int], dict]] = []
+
+        def on_checkpoint(snapshot: dict) -> None:
+            occupancy = (
+                sum(len(cache_set) for cache_set in simulator.chip.llc._sets),
+                len(simulator.chip.directory),
+                len(simulator.hypervisor.resident),
+            )
+            captured.append((occupancy, snapshot))
+
+        simulator.run(
+            trace, warmup_refs=32, checkpoint_refs=64,
+            on_checkpoint=on_checkpoint,
+        )
+        (early_occupancy, early), (late_occupancy, late) = (
+            captured[0], captured[-1]
+        )
+        assert all(
+            early_count < late_count
+            for early_count, late_count in zip(early_occupancy, late_occupancy)
+        ), (early_occupancy, late_occupancy)
+        for section in ("chip", "hypervisor"):
+            assert _containers(early[section]) == _containers(late[section])
 
     def test_multi_vm_roundtrip_with_mem_caps(self) -> None:
         config = _config("software", num_cpus=8)
@@ -360,29 +513,32 @@ class TestSnapshotGuards:
         assert failed == 0
         assert store.load(path) is not None
 
-    def test_shape_corrupt_candidate_degrades_to_cold(self, tmp_path) -> None:
-        # schema stamps intact, payload body gutted: the candidate scan
-        # must skip it (cold run), not crash the batch
+    @pytest.mark.parametrize("corrupt", sorted(CORRUPTIONS))
+    def test_shape_corrupt_candidate_degrades_to_cold(
+        self, tmp_path, corrupt
+    ) -> None:
+        # the candidate scan must skip a corrupt checkpoint (cold run),
+        # not crash the batch
         config = _config("software")
-        request = RunRequest(
-            config=config,
-            workload="prefix:12000:syn:migration-daemon/seed=7",
-            refs_total=6000, warmup_refs=100,
+        workload = "prefix:12000:syn:migration-daemon/seed=7"
+        shorter, request = (
+            RunRequest(
+                config=config, workload=workload, refs_total=refs,
+                warmup_refs=100,
+            )
+            for refs in (4000, 6000)
         )
+        execute_request(shorter, store_directory=str(tmp_path))
         store = CheckpointStore(tmp_path)
         family = checkpoint_family_key(request)
-        store.directory.mkdir(parents=True, exist_ok=True)
-        (store.directory / f"{family}-{4000:012d}.json").write_text(
-            json.dumps({
-                "cache_schema": CACHE_SCHEMA_VERSION,
-                "schema": SNAPSHOT_SCHEMA_VERSION,
-                "executed_refs": 4000,
-            }),
-            encoding="utf-8",
-        )
+        [(_, path)] = store.candidates(family)
+        snapshot = store.load(path)
+        store.save(family, CORRUPTIONS[corrupt](snapshot))
+
         before = dict(CHECKPOINT_COUNTERS)
         result = execute_request(request, store_directory=str(tmp_path))
         assert CHECKPOINT_COUNTERS["cold"] - before["cold"] == 1
+        assert CHECKPOINT_COUNTERS["restored"] == before["restored"]
         cold = execute_request(request)
         assert not diff_fingerprints(
             result_fingerprint(cold), result_fingerprint(result)
