@@ -77,8 +77,6 @@ def checkpoint_family_key(request: RunRequest) -> str:
         "warmup_refs": request.warmup_refs,
         "interval_refs": request.interval_refs,
     }
-    if request.engine:
-        payload["engine"] = request.engine
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()

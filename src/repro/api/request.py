@@ -11,18 +11,18 @@ from equal ingredients compare equal, hash equal and produce the same
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
 from repro.sim.config import (
     SystemConfig,
-    VmTopology,
+    check_fields,
     config_from_dict,
     config_to_dict,
 )
-from repro.sim.engine import check_engine
 
 #: Experiment kinds a request can ask for: a trace-driven simulation or
 #: the single-remap anatomy microbenchmark (which needs no workload).
@@ -59,19 +59,12 @@ class RunRequest:
             references (None = no telemetry, byte-identical legacy
             results).
         experiment: ``"trace"`` or ``"remap"``.
-        engine: simulation engine, ``""`` (process default — usually the
-            fast engine), ``"reference"`` or ``"fast"``.  Both engines
-            produce bit-identical results, so the engine only enters the
-            cache key when explicitly non-default (letting benchmarks
-            force a re-simulation on a specific engine without
-            invalidating default-engine caches).
-        topology: optional :class:`~repro.sim.config.VmTopology` for a
-            consolidated multi-VM run.  Purely a construction
-            convenience: the topology is normalized into its canonical
-            ``multi:`` workload name (which must match ``workload`` when
-            both are given), so topology-built requests dedupe and cache
-            exactly like name-built ones and the cache key payload is
-            unchanged.
+
+    A request names no engine: every request runs the fast engine, and
+    ``REPRO_VALIDATE_FASTPATH=1`` checks each result against the
+    reference engine (:mod:`repro.sim.engine`).  The two engines are
+    bit-identical, so the engine is a detail of the machine, not of the
+    work.
     """
 
     config: SystemConfig
@@ -81,25 +74,12 @@ class RunRequest:
     warmup_refs: Optional[int] = None
     interval_refs: Optional[int] = None
     experiment: str = EXPERIMENT_TRACE
-    engine: str = ""
-    # compare=False: the canonical workload name (normalized in
-    # __post_init__) already captures the topology, so name-built and
-    # topology-built requests compare and hash equal.
-    topology: Optional[VmTopology] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(
                 f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}"
             )
-        if self.topology is not None:
-            name = self.topology.name
-            if self.workload and self.workload != name:
-                raise ValueError(
-                    f"workload {self.workload!r} does not match the "
-                    f"topology's canonical name {name!r}"
-                )
-            object.__setattr__(self, "workload", name)
         if self.experiment == EXPERIMENT_TRACE and not self.workload:
             raise ValueError("a trace request needs a workload name")
         if not 0.0 <= self.warmup_fraction < 1.0:
@@ -115,8 +95,6 @@ class RunRequest:
             object.__setattr__(self, "warmup_fraction", 0.2)
         if self.interval_refs is not None and self.interval_refs <= 0:
             raise ValueError("interval_refs must be positive when given")
-        if self.engine != "":
-            check_engine(self.engine)
 
     # ------------------------------------------------------------------
     # serialization
@@ -124,12 +102,9 @@ class RunRequest:
     def to_dict(self) -> dict[str, Any]:
         """Serialize to plain JSON-compatible data.
 
-        The ``engine`` field is included only when explicitly set: the
-        engines are result-equivalent, so default-engine requests keep
-        the cache keys they had before engine selection existed.  The
-        same convention covers ``warmup_refs`` and ``interval_refs`` --
-        absent when unset, so pre-existing requests keep their exact
-        historical cache keys (and cached results stay valid without a
+        ``warmup_refs`` and ``interval_refs`` are absent when unset, so
+        pre-existing requests keep their exact historical cache keys
+        (and cached results stay valid without a
         :data:`CACHE_SCHEMA_VERSION` bump).
         """
         data: dict[str, Any] = {
@@ -148,13 +123,16 @@ class RunRequest:
             data["warmup_refs"] = self.warmup_refs
         if self.interval_refs is not None:
             data["interval_refs"] = self.interval_refs
-        if self.engine:
-            data["engine"] = self.engine
         return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunRequest":
-        """Rebuild a request from :meth:`to_dict` output."""
+        """Rebuild a request from :meth:`to_dict` output.
+
+        Raises ``ValueError`` naming any key :meth:`to_dict` never
+        writes, instead of dropping it.
+        """
+        check_fields(data, _FIELDS, "run request")
         warmup_fraction = data.get("warmup_fraction")
         return cls(
             config=config_from_dict(data["config"]),
@@ -164,7 +142,6 @@ class RunRequest:
             warmup_refs=data.get("warmup_refs"),
             interval_refs=data.get("interval_refs"),
             experiment=data.get("experiment", EXPERIMENT_TRACE),
-            engine=data.get("engine", ""),
         )
 
     # ------------------------------------------------------------------
@@ -188,3 +165,7 @@ class RunRequest:
             object.__setattr__(self, "_cache_key", digest)
             cached = digest
         return cached
+
+
+#: The keys :meth:`RunRequest.to_dict` writes: one per field.
+_FIELDS = frozenset(f.name for f in dataclasses.fields(RunRequest))

@@ -125,9 +125,10 @@ def execute_request(
     schema stamps, the warmup-start vector and a digest of the executed
     reference prefix turn any other checkpoint into a cold run.
 
-    When ``REPRO_VALIDATE_FASTPATH=1`` is set, a fast-engine result
-    (cold or restored) is checked against a reference-engine run before
-    it is returned (see :func:`_check_against_reference`).
+    The request runs on the fast engine.  When
+    ``REPRO_VALIDATE_FASTPATH=1`` is set, its result (cold or restored)
+    is checked against a reference-engine run before it is returned
+    (see :func:`_check_against_reference`).
     """
     if request.experiment == EXPERIMENT_REMAP:
         return single_remap_cost(request.config)
@@ -160,7 +161,7 @@ def execute_request(
     else:
         if store_directory is not None:
             CHECKPOINT_COUNTERS["cold"] += 1
-        simulator = Simulator(request.config, engine=request.engine or None)
+        simulator = Simulator(request.config)
     try:
         if run is not None:
             result = simulator.resume(run, on_checkpoint=on_checkpoint)
@@ -181,7 +182,7 @@ def execute_request(
                 "session.execute", "session", start,
                 key=request.cache_key, engine=simulator.engine,
             )
-    return _check_against_reference(request, result, simulator.engine)
+    return _check_against_reference(request, result)
 
 
 def _restore_from(
@@ -207,7 +208,7 @@ def _restore_from(
         try:
             if data["warmup"]["starts"] != starts:
                 continue
-            return restore_run(data, trace, engine=request.engine or None)
+            return restore_run(data, trace)
         except (SnapshotError, KeyError, TypeError, ValueError):
             # schema-valid but shape-corrupt payloads, and checkpoints
             # of another reference stream, degrade to the next
@@ -232,18 +233,18 @@ def _execute_chain(
 
 
 def _check_against_reference(
-    request: RunRequest, result: SimulationResult, engine: str
+    request: RunRequest, result: SimulationResult
 ) -> SimulationResult:
     """Return ``result`` once the reference engine agrees with it.
 
-    A no-op unless ``REPRO_VALIDATE_FASTPATH=1`` is set and ``engine``
-    (the engine that produced ``result``, cold or resumed from a
-    checkpoint) is the fast one.  Then the request runs again, cold, on
-    the reference engine, and any fingerprint difference raises
+    A no-op unless ``REPRO_VALIDATE_FASTPATH=1`` is set.  Then the
+    request runs again, cold, on the reference engine, and any
+    fingerprint difference from ``result`` (the fast engine's, cold or
+    resumed from a checkpoint) raises
     :class:`~repro.sim.engine.FastPathMismatchError` instead of
     returning either result.
     """
-    if not validate_fastpath_requested() or engine != ENGINE_FAST:
+    if not validate_fastpath_requested():
         return result
     simulator = Simulator(request.config, engine=ENGINE_REFERENCE)
     try:

@@ -70,7 +70,6 @@ from repro.experiments.scenarios import (
     run_differential,
     run_scenarios,
 )
-from repro.sim.engine import ENGINES
 from repro.workloads import WORKLOADS, make_workload
 from repro.workloads.synthetic import (
     ADDRESS_MODELS,
@@ -214,15 +213,6 @@ def _add_protocols(parser: argparse.ArgumentParser, default: Sequence[str]) -> N
         default=",".join(default),
         metavar="P1,P2,...",
         help=f"protocols to compare (default: {','.join(default)})",
-    )
-
-
-def _add_engine(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine",
-        default=None,
-        choices=ENGINES,
-        help="simulation engine (default: REPRO_SIM_ENGINE or fast)",
     )
 
 
@@ -736,7 +726,6 @@ def _add_fleet_parser(subparsers) -> None:
         f"{','.join(str(x) for x in DEFAULT_INTENSITIES)})",
     )
     _add_protocols(fleet, FLEET_PROTOCOLS)
-    _add_engine(fleet)
 
 
 def _run_fleet(args: argparse.Namespace) -> tuple[str, int]:
@@ -760,7 +749,6 @@ def _run_fleet(args: argparse.Namespace) -> tuple[str, int]:
         storm_refs=args.storm_refs,
         intensities=args.intensities,
         protocols=args.protocols,
-        engine=args.engine or "",
         session=_session_from_args(args),
     )
     return experiment_output(
@@ -884,7 +872,6 @@ def _add_run_parser(subparsers) -> None:
         metavar="P",
         help="translation coherence protocol (default hatric)",
     )
-    _add_engine(run)
     run.add_argument(
         "--num-cpus",
         type=int,
@@ -924,7 +911,6 @@ def _run_run(args: argparse.Namespace) -> tuple[str, int]:
         workload=args.workload,
         refs_total=args.refs,
         interval_refs=interval_refs,
-        engine=args.engine or "",
     )
     result = session.run(request)
     fingerprint = result_fingerprint(result)

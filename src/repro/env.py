@@ -2,13 +2,13 @@
 
 Every knob this repository reads from the environment goes through one
 of these helpers (or an equally strict local parser, e.g.
-``repro.api.scale.ExperimentScale.from_environment`` and the engine /
-kernel resolvers in :mod:`repro.sim`).  The contract is uniform: an
-unset or empty variable means the default, and a set-but-invalid value
-raises ``ValueError`` naming the variable, the offending value, and
-what would have been accepted.  A typo must never silently select a
-fallback -- ``REPRO_SIM_ENGINE=fsat`` running the default engine for an
-entire sweep is strictly worse than an immediate crash.
+``repro.api.scale.ExperimentScale.from_environment``).  The contract is
+uniform: an unset or empty variable means the default, and a
+set-but-invalid value raises ``ValueError`` naming the variable, the
+offending value, and what would have been accepted.  A typo must never
+silently select a fallback -- ``REPRO_VALIDATE_FASTPATH=ture`` skipping
+the reference check for an entire sweep is strictly worse than an
+immediate crash.
 """
 
 from __future__ import annotations

@@ -183,7 +183,6 @@ def run_fleet_experiment(
     storm_refs: int = 512,
     intensities: Sequence[int] = DEFAULT_INTENSITIES,
     protocols: Sequence[str] = FLEET_PROTOCOLS,
-    engine: str = "",
     session: Optional[Session] = None,
 ) -> FleetStudyResult:
     """Sweep protocol x migration intensity over one fleet shape.
@@ -222,7 +221,7 @@ def run_fleet_experiment(
         for intensity in intensities
     }
     requests = [
-        FleetRequest(spec=specs[intensity], protocol=protocol, engine=engine)
+        FleetRequest(spec=specs[intensity], protocol=protocol)
         for intensity in intensities
         for protocol in protocols
     ]

@@ -83,13 +83,12 @@ def run_configuration(
     config: SystemConfig,
     workload: Workload | MultiprogrammedWorkload | str,
     scale: Optional[ExperimentScale] = None,
-    validate: bool = False,
 ) -> SimulationResult:
     """Run one workload on one configuration and return the result."""
     scale = scale or ExperimentScale()
     if isinstance(workload, str):
         workload = make_workload(workload)
-    simulator = Simulator(config, validate=validate)
+    simulator = Simulator(config)
     try:
         return simulator.run(
             workload,

@@ -50,7 +50,6 @@ from repro.sim.engine import (
     diff_fingerprints,
     gc_paused,
     machine_digest,
-    resolve_engine,
     validate_fastpath_requested,
 )
 from repro.sim.simulator import Run, Simulator
@@ -303,28 +302,29 @@ def execute_fleet(request: FleetRequest) -> FleetResult:
     can pickle it into worker processes (mirroring
     :func:`repro.api.session.execute_request`, including its cyclic-GC
     pause over the whole request and the closing of every host once
-    its digest is taken).  Under ``REPRO_VALIDATE_FASTPATH=1`` a
-    fast-engine result is checked against a reference-engine run
-    before it is returned (see :func:`_check_against_reference`).
+    its digest is taken).  The fleet runs on the fast engine; under
+    ``REPRO_VALIDATE_FASTPATH=1`` its result is checked against a
+    reference-engine run before it is returned (see
+    :func:`_check_against_reference`).
     """
-    engine = resolve_engine(request.engine or None)
-    result, digests = _simulate_fleet(request.spec, request.protocol, engine)
-    return _check_against_reference(request, result, digests, engine)
+    result, digests = _simulate_fleet(
+        request.spec, request.protocol, ENGINE_FAST
+    )
+    return _check_against_reference(request, result, digests)
 
 
 def _check_against_reference(
-    request: FleetRequest, result: FleetResult, digests: list[dict],
-    engine: str,
+    request: FleetRequest, result: FleetResult, digests: list[dict]
 ) -> FleetResult:
     """Return ``result`` once the reference engine agrees with it.
 
-    A no-op unless ``REPRO_VALIDATE_FASTPATH=1`` is set and ``engine``
-    is the fast one.  Then the fleet runs again on the reference engine,
-    and any fingerprint difference raises
+    A no-op unless ``REPRO_VALIDATE_FASTPATH=1`` is set.  Then the
+    fleet runs again on the reference engine, and any fingerprint
+    difference from the fast engine's ``result`` raises
     :class:`~repro.sim.engine.FastPathMismatchError` naming the host
     summary, transport and machine-digest fields that differ.
     """
-    if not validate_fastpath_requested() or engine != ENGINE_FAST:
+    if not validate_fastpath_requested():
         return result
     reference, reference_digests = _simulate_fleet(
         request.spec, request.protocol, ENGINE_REFERENCE
@@ -348,7 +348,7 @@ def _check_against_reference(
         or "per-CPU, per-VM or energy-split drift"
     )
     raise FastPathMismatchError(
-        f"{engine} engine diverged from the reference engine on fleet "
+        f"{ENGINE_FAST} engine diverged from the reference engine on fleet "
         f"{request.spec.name!r} under {request.protocol}:\n  {details}"
     )
 

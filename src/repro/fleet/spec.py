@@ -16,14 +16,14 @@ protocol agrees on.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from repro.core.protocol import make_protocol
-from repro.sim.config import GuestConfig
-from repro.sim.engine import check_engine
+from repro.sim.config import GuestConfig, check_fields
 
 #: Bumped when the fleet trace/plan construction changes in a way that
 #: invalidates cached fleet results.  Independent of the single-machine
@@ -69,6 +69,9 @@ class HostSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "HostSpec":
+        check_fields(data, ("guests",), "host")
+        for guest in data["guests"]:
+            check_fields(guest, ("workload", "vcpus"), "guest")
         return cls(
             guests=tuple(
                 GuestConfig(workload=g["workload"], vcpus=g.get("vcpus", 1))
@@ -182,6 +185,7 @@ class FleetSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FleetSpec":
+        check_fields(data, _SPEC_FIELDS, "fleet spec")
         return cls(
             hosts=tuple(HostSpec.from_dict(h) for h in data["hosts"]),
             num_cpus=data.get("num_cpus", 8),
@@ -192,6 +196,10 @@ class FleetSpec:
             storm_refs=data.get("storm_refs", 512),
             intensity=data.get("intensity", 1),
         )
+
+
+#: The keys :meth:`FleetSpec.to_dict` writes: one per field.
+_SPEC_FIELDS = frozenset(f.name for f in dataclasses.fields(FleetSpec))
 
 
 def _rng_pick(seed: int, epoch: int, slot: int, options: Sequence[int]) -> int:
@@ -264,17 +272,18 @@ def migration_plan(spec: FleetSpec) -> list[list[tuple[int, int, int]]]:
 
 @dataclass(frozen=True)
 class FleetRequest:
-    """A cacheable fleet simulation request (spec x protocol x engine).
+    """A cacheable fleet simulation request (spec x protocol).
 
     Mirrors :class:`repro.api.request.RunRequest`: the cache key hashes
     the full request payload plus both schema versions, but carries the
     ``fleet:`` prefix so fleet entries can never collide with (or be
-    mistaken for) single-machine results on disk.
+    mistaken for) single-machine results on disk.  Like a run request
+    it names no engine: every fleet runs the fast engine, and
+    ``REPRO_VALIDATE_FASTPATH=1`` checks it against the reference one.
     """
 
     spec: FleetSpec
     protocol: str
-    engine: str = ""
     _cache_key: Optional[str] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -283,22 +292,19 @@ class FleetRequest:
         # Reject a bad name here, where the caller can be told, rather
         # than when a worker builds the first machine.
         make_protocol(self.protocol)
-        if self.engine != "":
-            check_engine(self.engine)
 
     def to_dict(self) -> dict:
         return {
             "spec": self.spec.to_dict(),
             "protocol": self.protocol,
-            "engine": self.engine,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FleetRequest":
+        check_fields(data, ("spec", "protocol"), "fleet request")
         return cls(
             spec=FleetSpec.from_dict(data["spec"]),
             protocol=data["protocol"],
-            engine=data.get("engine", ""),
         )
 
     @property
@@ -309,6 +315,10 @@ class FleetRequest:
             payload = {
                 "schema": CACHE_SCHEMA_VERSION,
                 "fleet_schema": FLEET_SCHEMA_VERSION,
+                # requests once named an engine, "" for the default;
+                # the fixed entry keeps every stored and pinned fleet
+                # key where it was
+                "engine": "",
                 **self.to_dict(),
             }
             blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))

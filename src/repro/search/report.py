@@ -115,7 +115,6 @@ def workload_families(workload: str) -> list[str]:
 def corpus_requests(
     corpus: Mapping[str, Any],
     entry: Mapping[str, Any],
-    engine: str = "",
 ) -> list[RunRequest]:
     """Rebuild one corpus entry's exact per-protocol requests.
 
@@ -133,7 +132,6 @@ def corpus_requests(
             workload=entry["workload"],
             refs_total=settings["refs_total"],
             warmup_refs=settings["warmup_refs"],
-            engine=engine,
         )
         for protocol in settings["protocols"]
     ]

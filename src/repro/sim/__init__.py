@@ -11,7 +11,6 @@ from repro.sim.config import (
 from repro.sim.costs import CostModel
 from repro.sim.engine import (
     ENGINE_DEFAULT,
-    ENGINE_ENV_VAR,
     ENGINE_FAST,
     ENGINE_REFERENCE,
     ENGINES,
@@ -26,7 +25,6 @@ __all__ = [
     "CoherenceDirectoryConfig",
     "CostModel",
     "ENGINE_DEFAULT",
-    "ENGINE_ENV_VAR",
     "ENGINE_FAST",
     "ENGINE_REFERENCE",
     "ENGINES",

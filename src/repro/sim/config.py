@@ -14,8 +14,9 @@ gigabyte-range footprints; see DESIGN.md for the substitution note.
 from __future__ import annotations
 
 import dataclasses
+import reprlib
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Optional
+from typing import Any, Collection, Mapping, Optional
 
 from repro.sim.costs import CostModel
 
@@ -329,6 +330,22 @@ def config_to_dict(config: SystemConfig) -> dict[str, Any]:
             value = {key: getattr(value, key) for key in section}
         data[name] = value
     return data
+
+
+def check_fields(
+    data: Mapping[str, Any], known: Collection[str], what: str
+) -> None:
+    """Raise a ValueError naming every key of ``data`` outside ``known``.
+
+    The request decoders call this, so a misspelt field (``refs`` for
+    ``refs_total``) fails loudly instead of running the default.
+    """
+    if not isinstance(data, Mapping):
+        raise TypeError(f"a {what} must be a mapping, not {type(data).__name__}")
+    unknown = sorted(data.keys() - known)
+    if unknown:
+        named = ", ".join(f"{key}={reprlib.repr(data[key])}" for key in unknown)
+        raise ValueError(f"unknown {what} field(s): {named}")
 
 
 def config_from_dict(data: Mapping[str, Any]) -> SystemConfig:

@@ -43,16 +43,18 @@ and is enforced by ``tests/test_fastpath.py``, the golden snapshots,
 and the ``REPRO_VALIDATE_FASTPATH=1`` post-check, which reruns every
 fast-engine result on the reference engine and diffs the fingerprints.
 
-Engine selection: ``Simulator(config, engine=...)`` explicitly,
-``REPRO_SIM_ENGINE`` globally, default :data:`ENGINE_FAST`.  Validation
-mode (``validate=True``) always uses the reference engine, since the
+The engine is a property of the machine alone:
+``Simulator(config, engine=...)`` and ``restore_run(..., engine=...)``
+take it, default :data:`ENGINE_FAST`.  Every request, CLI command and
+fleet runs the fast engine; ``REPRO_VALIDATE_FASTPATH=1`` is how one
+runs them on the specification as well.  Validation mode
+(``validate=True``) always uses the reference engine, since the
 per-reference cross-checks are what that mode is for.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 from contextlib import contextmanager
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Optional
@@ -60,6 +62,7 @@ from typing import TYPE_CHECKING, Any, Optional
 import numpy as np
 
 from repro.coherence.directory import DirectoryEntry, SharerKind
+from repro.env import env_choice
 from repro.mem.cache import CacheLine
 from repro.mem.hierarchy import AccessResult, CacheHierarchy
 from repro.sim.config import PLACEMENT_PAGED
@@ -76,33 +79,24 @@ from repro.translation.structures import (
     TranslationEntry,
 )
 from repro.translation.walker import PageTableWalker, WalkResult
-from repro.virt.paging import ClockPolicy, FifoPolicy
+from repro.virt.paging import ClockPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.sim.simulator import SimulationResult, Simulator
     from repro.workloads.base import WorkloadTrace
 
-#: Engine names.  ``ENGINE_DEFAULT`` is what ``engine=None`` resolves to
-#: (overridable per process with ``REPRO_SIM_ENGINE``).
+#: Engine names.  ``ENGINE_DEFAULT`` is what ``engine=None`` resolves to.
 ENGINE_REFERENCE = "reference"
 ENGINE_FAST = "fast"
 ENGINES = (ENGINE_REFERENCE, ENGINE_FAST)
 ENGINE_DEFAULT = ENGINE_FAST
 
-#: Environment variable selecting the engine for simulators that were
-#: not given one explicitly (``reference`` or ``fast``).
-ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
-
 #: When set, :func:`repro.api.session.execute_request` runs every
-#: non-reference trace request through the reference engine as well and
-#: raises :class:`FastPathMismatchError` unless the results are
-#: bit-identical.
+#: trace request through the reference engine as well and raises
+#: :class:`FastPathMismatchError` unless the results are bit-identical.
 #: Valid values: ``1``/``true`` (on), ``0``/``false``/unset (off);
 #: anything else is a loud error, not a silent boolean guess.
 VALIDATE_ENV_VAR = "REPRO_VALIDATE_FASTPATH"
-
-_VALIDATE_ON = ("1", "true")
-_VALIDATE_OFF = ("", "0", "false")
 
 
 #: radix-level index width, hoisted for the walker's inline prefix math.
@@ -113,32 +107,20 @@ class FastPathMismatchError(AssertionError):
     """Fast and reference engines disagreed on a supposedly equal run."""
 
 
-def check_engine(engine: str, source: str = "") -> None:
-    """Raise a ValueError unless ``engine`` names an engine.
-
-    The one unknown-engine error of the package: every surface that
-    accepts an engine name (``Simulator``, ``RunRequest``,
-    ``FleetRequest``, ``REPRO_SIM_ENGINE``) reports it through here.
-    """
-    if engine not in ENGINES:
-        known = ", ".join(ENGINES)
-        raise ValueError(
-            f"unknown simulation engine {engine!r}{source}; known: {known}"
-        )
-
-
 def resolve_engine(engine: Optional[str], validate: bool = False) -> str:
     """Resolve an engine request to a concrete engine name.
 
-    ``None`` (or ``""``) consults ``REPRO_SIM_ENGINE`` and falls back to
-    :data:`ENGINE_DEFAULT`.  Validation mode always resolves to the
-    reference engine.
+    ``None`` (or ``""``) means :data:`ENGINE_DEFAULT`, and an unknown
+    name raises ``ValueError``: ``Simulator`` and ``restore_run``, the
+    only places an engine is named, both come here.  Validation mode
+    always resolves to the reference engine.
     """
-    source = ""
-    if not engine:
-        engine = os.environ.get(ENGINE_ENV_VAR) or ENGINE_DEFAULT
-        source = f" (from {ENGINE_ENV_VAR})"
-    check_engine(engine, source)
+    engine = engine or ENGINE_DEFAULT
+    if engine not in ENGINES:
+        known = ", ".join(ENGINES)
+        raise ValueError(
+            f"unknown simulation engine {engine!r}; known: {known}"
+        )
     if validate:
         return ENGINE_REFERENCE
     return engine
@@ -147,21 +129,14 @@ def resolve_engine(engine: Optional[str], validate: bool = False) -> str:
 def validate_fastpath_requested() -> bool:
     """True when ``REPRO_VALIDATE_FASTPATH`` asks for the reference post-check.
 
-    The flag is parsed strictly: a value that is neither clearly on nor
-    clearly off (say, ``REPRO_VALIDATE_FASTPATH=ture``) raises instead
-    of silently disabling the validation the caller asked for.
+    The flag is parsed strictly (:func:`repro.env.env_choice`): a value
+    that is neither clearly on nor clearly off (say,
+    ``REPRO_VALIDATE_FASTPATH=ture``) raises instead of silently
+    disabling the validation the caller asked for.
     """
-    value = os.environ.get(VALIDATE_ENV_VAR, "")
-    if value in _VALIDATE_OFF:
-        return False
-    if value in _VALIDATE_ON:
-        return True
-    on = ", ".join(_VALIDATE_ON)
-    off = ", ".join(repr(v) for v in _VALIDATE_OFF if v)
-    raise ValueError(
-        f"invalid {VALIDATE_ENV_VAR} value {value!r}; "
-        f"valid values: {on} (on) or {off} or unset (off)"
-    )
+    return env_choice(
+        VALIDATE_ENV_VAR, "0", ("0", "false", "1", "true")
+    ) in ("1", "true")
 
 
 # ----------------------------------------------------------------------
@@ -797,13 +772,12 @@ class FastPathExecutor:
         config = simulator.config
         self._paged = config.placement == PLACEMENT_PAGED
         self._defrag = config.paging.defrag_interval > 0
-        policy = simulator.hypervisor.policy
-        if isinstance(policy, ClockPolicy):
-            self._policy_kind = "clock"
-        elif isinstance(policy, FifoPolicy):
-            self._policy_kind = "fifo"
-        else:  # pragma: no cover - no third policy exists today
-            self._policy_kind = "other"
+        # make_policy builds CLOCK (``lru``) or FIFO, nothing else
+        self._policy_kind = (
+            "clock"
+            if isinstance(simulator.hypervisor.policy, ClockPolicy)
+            else "fifo"
+        )
         #: bulk-retirement eligibility: None until the first all-steady
         #: round decides it (see :meth:`_bulk_eligible`).
         self._bulk: Optional[bool] = None
@@ -909,7 +883,6 @@ class FastPathExecutor:
         clock_pages = (
             hypervisor.policy._pages if policy_kind == "clock" else None
         )
-        policy_on_access = hypervisor.policy.on_access
 
         warm_cost = l1_tlb_latency + l1_latency
         line_mask = ~(l1_line_size - 1)
@@ -951,10 +924,6 @@ class FastPathExecutor:
                     resident_key = resident_get(spp)
                     if resident_key is not None and resident_key in clock_pages:
                         clock_pages[resident_key] = True
-                elif policy_kind == "other":  # pragma: no cover
-                    resident_key = resident_get(spp)
-                    if resident_key is not None:
-                        policy_on_access(resident_key)
                 # fifo: on_access is a no-op, nothing to record
             spa = (spp << PAGE_SHIFT) | (gva & offset_mask)
             line = spa & line_mask
@@ -1003,9 +972,8 @@ class FastPathExecutor:
         if self._bulk is not None:
             return self._bulk
         self._bulk = False
-        if self._defrag or self._policy_kind == "other":
-            # defrag interposes on_data_access on every steady
-            # reference; "other" policies have per-access callbacks.
+        if self._defrag:
+            # defrag interposes on_data_access on every steady reference
             return False
         # TLB mirror tags pack (gvp << _VM_BITS) | vm_code into an int64,
         # where vm_code is a dense per-executor index over the traced VM

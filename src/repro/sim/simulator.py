@@ -21,7 +21,7 @@ from typing import Optional, Union
 from repro.core.cotag import CoTagScheme
 from repro.core.protocol import TranslationCoherenceProtocol, make_protocol
 from repro.cpu.chip import Chip
-from repro.energy.model import EnergyBreakdown, EnergyModel, EnergyParameters
+from repro.energy.model import EnergyBreakdown, EnergyModel
 from repro.sim.engine import (
     ENGINE_FAST,
     install_fast_paths,
@@ -201,18 +201,15 @@ class Simulator:
         config: the machine to simulate.
         validate: cross-check every translation against the page tables
             (always runs on the reference engine).
-        energy_parameters: overrides for the energy model.
         engine: execution engine, ``"reference"`` or ``"fast"`` (see
-            :mod:`repro.sim.engine`).  ``None`` consults the
-            ``REPRO_SIM_ENGINE`` environment variable and defaults to
-            the fast engine; both engines produce bit-identical results.
+            :mod:`repro.sim.engine`).  ``None`` means the fast engine;
+            both engines produce bit-identical results.
     """
 
     def __init__(
         self,
         config: SystemConfig,
         validate: bool = False,
-        energy_parameters: Optional[EnergyParameters] = None,
         engine: Optional[str] = None,
     ) -> None:
         self.protocol: TranslationCoherenceProtocol = make_protocol(config.protocol)
@@ -243,7 +240,6 @@ class Simulator:
             self.chip, config, self.protocol, self.stats
         )
         self.energy_model = EnergyModel(
-            params=energy_parameters,
             cotag_bytes=(
                 config.translation.cotag_bytes if self.protocol.uses_cotags else 0
             ),

@@ -39,7 +39,11 @@ engine holds references to them) and rebuilds sharer sets in ascending
 CPU order, as ``set(sorted(...))`` would.  It refuses columns of
 unequal length and counts that do not tile their column with
 :class:`SnapshotError`, because ``zip`` would silently truncate them
-and restore a different machine.
+and restore a different machine.  It also refuses per-CPU statistics
+short of ``num_cpus``, non-integer counters and allocator state, VM
+columns naming an unknown VM and negative line words, which would
+restore and then crash the run or change its result; every resumed
+sweep point pays for these checks, so they use whole-column builtins.
 
 Page tables keep the nested per-node codec (:func:`_encode_node`,
 :func:`_load_table`).  The fleet's migration payload
@@ -175,6 +179,28 @@ def _check_counts(counts: list[int], total: int, what: str) -> None:
         )
 
 
+def _check_ints(values: list, what: str) -> None:
+    """Refuse ``values`` unless each is an ``int``.
+
+    A string or float restores without complaint and then crashes the
+    run, or silently changes its result, once the machine reads it.
+    """
+    if not set(map(type, values)) <= {int}:
+        raise SnapshotError(f"snapshot {what} holds a non-integer")
+
+
+def _check_words(words: list[int], what: str) -> None:
+    """Refuse a negative packed line word: no line address is negative."""
+    if words and min(words) < 0:
+        raise SnapshotError(f"snapshot {what} holds a negative line word")
+
+
+def _check_vm_ids(vm_ids: list[int], known: set[int], what: str) -> None:
+    """Refuse a VM column naming a VM the snapshot does not restore."""
+    if not known.issuperset(vm_ids):
+        raise SnapshotError(f"snapshot {what} names an unknown VM")
+
+
 def _mask(cpus) -> int:
     """A CPU set as a bitmask (a plain int: ``num_cpus`` is unbounded)."""
     mask = 0
@@ -266,6 +292,7 @@ def _load_cache(cache: Cache, data: dict[str, Any]) -> None:
             f"{len(counts)}"
         )
     _check_counts(counts, len(words), f"cache {cache.name} set")
+    _check_words(words, f"cache {cache.name}")
     lines = [
         CacheLine(word >> 2, word & 1 == 1, word & 2 == 2) for word in words
     ]
@@ -308,6 +335,7 @@ def _load_directory(directory, data: dict[str, Any]) -> None:
     fine_entries, fine_kinds, fine_masks = _columns(
         data, "fine_entries", "fine_kinds", "fine_sharers"
     )
+    _check_words(words, "directory")
     num_cpus = directory.num_cpus
     cpus_of = {
         mask: _mask_cpus(mask, num_cpus) for mask in {*masks, *fine_masks}
@@ -393,10 +421,13 @@ def _encode_machine_stats(stats) -> dict[str, Any]:
 
 
 def _load_machine_stats(stats, data: dict[str, Any]) -> None:
-    if data["num_cpus"] != stats.num_cpus:
+    num_cpus = stats.num_cpus
+    if (data["num_cpus"], len(data["cpus"]), len(data["vm_of_cpu"])) != (
+        num_cpus, num_cpus, num_cpus
+    ):
         raise SnapshotError(
-            f"snapshot has {data['num_cpus']} CPUs, machine has "
-            f"{stats.num_cpus}"
+            f"snapshot statistics do not describe the machine's "
+            f"{num_cpus} CPUs"
         )
     stats.cpus = [CpuStats(**cpu) for cpu in data["cpus"]]
     stats.events = EventCounter(data["events"])
@@ -566,7 +597,6 @@ def capture_snapshot(run: Run, positions: list[int]) -> dict[str, Any]:
 
     return {
         "schema": SNAPSHOT_SCHEMA_VERSION,
-        "engine": simulator.engine,
         "config": config_to_dict(simulator.requested_config),
         "workload": trace.name,
         "trace": {
@@ -743,12 +773,17 @@ def _load_run(
         (memory.fast, data["memory"]["fast"]),
         (memory.slow, data["memory"]["slow"]),
     ):
+        _check_ints([tier_data["next"], tier_data["accesses"]], "allocator")
+        _check_ints(tier_data["free"], "free list")
         tier.allocator._next = tier_data["next"]
         tier.allocator._free = list(tier_data["free"])
         tier.accesses = tier_data["accesses"]
 
     # 4. Hypervisor paging state.
     hyp_data = data["hypervisor"]
+    known_vms = set(by_id)
+    for what in ("resident", "backing", "vm_pages", "policy"):
+        _check_vm_ids(hyp_data[what]["vm_ids"], known_vms, what)
     _load_page_map(hypervisor.resident, hyp_data["resident"])
     hypervisor._resident_by_spp.clear()
     hypervisor._resident_by_spp.update(
@@ -793,6 +828,7 @@ def _load_run(
     _load_cache(simulator.chip.llc, chip_data["llc"])
     _load_directory(simulator.chip.directory, chip_data["directory"])
 
+    _check_ints([data["warmup"]["executed"], data["executed_refs"]], "counter")
     telemetry = data["telemetry"]
     run = Run(
         simulator,

@@ -19,6 +19,9 @@ from repro.api import (
 )
 from repro.api.scale import SCALE_ENV_VAR
 from repro.experiments import run_figure2, run_figure7
+from repro.experiments.fleet import fleet_spec
+from repro.experiments.runner import baseline_config
+from repro.fleet import FleetRequest
 from repro.sim.config import (
     PagingConfig,
     SystemConfig,
@@ -95,6 +98,23 @@ class TestRunRequest:
     def test_config_round_trip(self):
         config = SystemConfig(num_cpus=4, hypervisor="xen")
         assert config_from_dict(config_to_dict(config)) == config
+
+    def test_pinned_keys_do_not_move(self):
+        # stored results and perfbench/pins.json are keyed by these; the
+        # values are the ones requests had when they could name an engine
+        request = RunRequest(
+            config=baseline_config(num_cpus=8), workload="canneal",
+            refs_total=4096,
+        )
+        assert request.cache_key == (
+            "e072d952cb69735074fe9aea0e29df184572409d0cb470a0725a60369352676e"
+        )
+        spec = fleet_spec(hosts=2, vms_per_host=2, num_cpus=4, epochs=3,
+                          epoch_refs=1024, storm_refs=64, intensity=1)
+        assert FleetRequest(spec=spec, protocol="hatric").cache_key == (
+            "fleet:"
+            "bf23c68e1a317a8e684954545b0f4d12ba4aaa20c6435a3e2428f150c1101412"
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):

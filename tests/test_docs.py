@@ -115,3 +115,29 @@ def test_cli_docs_cover_every_subcommand():
         if name not in FIGURES and f"`{name}`" not in headings
     ]
     assert missing == []
+
+
+#: A ``REPRO_*`` environment variable name.  The look-behind skips
+#: private names such as ``_REPRO_TRACE_OWNER_PID``.
+_ENV_VAR = re.compile(r"(?<![A-Za-z0-9_])REPRO_[A-Z][A-Z_]*")
+
+
+def test_env_var_table_lists_every_variable():
+    """docs/CLI.md's "Environment variables" table names exactly the
+    variables the code reads: a deleted one loses its row, and a new one
+    ships with one."""
+    used = {
+        name
+        for directory in ("src", "tests", "benchmarks")
+        for path in (REPO_ROOT / directory).rglob("*.py")
+        for name in _ENV_VAR.findall(path.read_text())
+    }
+    text = (REPO_ROOT / "docs" / "CLI.md").read_text()
+    section = text.split("## Environment variables", 1)[1].split("\n#", 1)[0]
+    documented = {
+        name
+        for line in section.splitlines()
+        if line.startswith("|")
+        for name in _ENV_VAR.findall(line.split("|")[1])
+    }
+    assert used == documented

@@ -27,13 +27,6 @@ from repro.sim.engine import (
 #: same way the production call site does.
 ENV_TABLE = [
     (
-        "REPRO_SIM_ENGINE",
-        lambda: resolve_engine(None),
-        "reference",
-        "reference",
-        "fsat",
-    ),
-    (
         "REPRO_VALIDATE_FASTPATH",
         validate_fastpath_requested,
         "1",
@@ -136,6 +129,5 @@ def test_jobs_env_var_reaches_default_session(monkeypatch):
     monkeypatch.setattr(session_module, "_DEFAULT_SESSION", None)
 
 
-def test_engine_default_unchanged(monkeypatch):
-    monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
+def test_engine_default_unchanged():
     assert resolve_engine(None) == ENGINE_FAST

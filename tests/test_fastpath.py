@@ -3,7 +3,7 @@
 The fast engine (:mod:`repro.sim.engine`) must produce
 **bit-identical** ``MachineStats``, energy and machine state for every
 configuration the reference engine supports -- that property is what
-lets it be selected without a ``CACHE_SCHEMA_VERSION`` bump.  These
+lets it run every request without a ``CACHE_SCHEMA_VERSION`` bump.  These
 tests force both engines over the differential scenario matrix, every
 protocol, and the directory/paging/placement/hypervisor variants whose
 code paths the fast engine specializes, comparing full machine digests
@@ -14,13 +14,9 @@ retirement, and that it stays off where no round is fully steady.
 
 from __future__ import annotations
 
-import asyncio
-import json
-from pathlib import Path
-
 import pytest
 
-from repro.api import ExperimentScale, RunRequest, Session
+from repro.api import RunRequest
 from repro.api.session import execute_request
 from repro.sim.config import (
     CoherenceDirectoryConfig,
@@ -41,8 +37,6 @@ from repro.sim.simulator import Run, Simulator, resolve_trace
 from repro.workloads import make_workload
 from tests.conftest import small_config
 from tests.test_differential import SCENARIO_MATRIX, matrix_spec, _base_config
-
-GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def assert_engines_identical(config: SystemConfig, workload_name: str, **run_kwargs):
@@ -209,170 +203,37 @@ def test_validation_mode_forces_reference_engine():
     assert simulator.engine == ENGINE_REFERENCE
 
 
-def test_engine_env_override(monkeypatch):
-    for engine in ENGINES:
-        monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
-        assert resolve_engine(None) == engine
+def test_unknown_engine_name_is_rejected():
     with pytest.raises(ValueError, match="known: reference, fast$"):
         resolve_engine("warp")
-    monkeypatch.setenv("REPRO_SIM_ENGINE", "fsat")
-    with pytest.raises(ValueError, match="REPRO_SIM_ENGINE"):
-        resolve_engine(None)
 
 
 # ----------------------------------------------------------------------
-# the retired "soa" engine name fails loudly on every surface
+# the retired "soa" engine name fails loudly on the machine, the one
+# place an engine is named (request decoders refuse an ``engine`` field
+# as unknown, see tests/test_serve.py)
 # ----------------------------------------------------------------------
-def _value_error(call) -> str:
+def _soa_simulator() -> str:
     with pytest.raises(ValueError) as error:
-        call()
+        Simulator(small_config(), engine="soa")
     return str(error.value)
-
-
-def _soa_from_env(monkeypatch, capsys) -> str:
-    monkeypatch.setenv("REPRO_SIM_ENGINE", "soa")
-    return _value_error(lambda: Simulator(small_config()))
-
-
-def _soa_simulator(monkeypatch, capsys) -> str:
-    return _value_error(lambda: Simulator(small_config(), engine="soa"))
-
-
-def _soa_run_request(monkeypatch, capsys) -> str:
-    return _value_error(
-        lambda: RunRequest(config=small_config(), workload="canneal",
-                           engine="soa")
-    )
-
-
-def _soa_fleet_request(monkeypatch, capsys) -> str:
-    from repro.experiments.fleet import fleet_spec
-    from repro.fleet.spec import FleetRequest
-
-    spec = fleet_spec(hosts=2, vms_per_host=1, num_cpus=2, epochs=2,
-                      epoch_refs=512, storm_refs=64)
-    return _value_error(
-        lambda: FleetRequest(spec=spec, protocol="hatric", engine="soa")
-    )
-
-
-def _soa_cli(monkeypatch, capsys) -> str:
-    from repro.cli import main
-
-    with pytest.raises(SystemExit) as exit_info:
-        main(["run", "--engine", "soa"])
-    assert exit_info.value.code == 2
-    return capsys.readouterr().err
-
-
-def _soa_post_run(monkeypatch, capsys) -> str:
-    from repro.serve import (
-        ReproServer,
-        ServiceClient,
-        ServiceSettings,
-        SimulationService,
-    )
-
-    payload = {"request": {
-        **RunRequest(config=small_config(), workload="canneal").to_dict(),
-        "engine": "soa",
-    }}
-
-    async def scenario():
-        service = SimulationService(ServiceSettings(cache_dir=None, workers=0))
-        server = ReproServer(service)
-        host, port = await server.start()
-        try:
-            return await ServiceClient(host, port).post("/run", payload)
-        finally:
-            await server.stop()
-
-    status, data = asyncio.run(scenario())
-    assert status == 400
-    return data["error"]["detail"]
 
 
 @pytest.mark.parametrize(
     "surface",
-    [
-        _soa_from_env,
-        _soa_simulator,
-        _soa_run_request,
-        _soa_fleet_request,
-        _soa_cli,
-        _soa_post_run,
-    ],
+    [_soa_simulator],
     ids=lambda surface: surface.__name__.removeprefix("_soa_"),
 )
-def test_retired_soa_engine_is_rejected(surface, monkeypatch, capsys):
+def test_retired_soa_engine_is_rejected(surface):
     """No alias, no special case: the unknown-engine error, naming both."""
-    message = surface(monkeypatch, capsys)
+    message = surface()
     assert "soa" in message
     assert "reference, fast" in message.replace("'", "")
 
 
 # ----------------------------------------------------------------------
-# golden snapshots under a forced fast engine
+# validated execution
 # ----------------------------------------------------------------------
-def test_golden_figure7_with_fast_engine_forced(monkeypatch):
-    """The committed figure7 golden values hold with the fast engine."""
-    monkeypatch.setenv("REPRO_SIM_ENGINE", ENGINE_FAST)
-    from repro.experiments import run_figure7
-
-    result = run_figure7(
-        workloads=("data_caching",),
-        vcpu_counts=(4,),
-        scale=ExperimentScale(trace_scale=0.2),
-        session=Session(),
-    )
-    payload = {
-        f"{cell.workload}/{cell.vcpus}vcpu/{cell.series}": cell.normalized_runtime
-        for cell in result.cells
-    }
-    stored = json.loads((GOLDEN_DIR / "figure7_tiny.json").read_text())
-    assert payload == stored
-
-
-# ----------------------------------------------------------------------
-# API plumbing: engine on RunRequest, validated execution
-# ----------------------------------------------------------------------
-def test_request_engine_field_keeps_default_cache_key():
-    config = small_config()
-    default = RunRequest(config=config, workload="canneal")
-    explicit_fast = RunRequest(config=config, workload="canneal", engine="fast")
-    reference = RunRequest(config=config, workload="canneal", engine="reference")
-    # the default-engine payload has no engine key at all, so keys are
-    # exactly what they were before engine selection existed
-    assert "engine" not in default.to_dict()
-    assert default.cache_key != explicit_fast.cache_key
-    assert explicit_fast.cache_key != reference.cache_key
-    assert default.cache_key != reference.cache_key
-    # engine selection never bumped the cache schema: picking an engine
-    # changes nothing about what any existing key resolves to
-    from repro.api.request import CACHE_SCHEMA_VERSION
-
-    assert CACHE_SCHEMA_VERSION == 2
-    # round trip preserves the engine
-    assert RunRequest.from_dict(explicit_fast.to_dict()).engine == "fast"
-    assert RunRequest.from_dict(default.to_dict()).engine == ""
-    with pytest.raises(ValueError):
-        RunRequest(config=config, workload="canneal", engine="warp")
-
-
-def test_request_engines_give_identical_results():
-    spec = matrix_spec(2)
-    config = _base_config()
-    session = Session()
-    results = [
-        session.run(
-            RunRequest(config=config, workload=spec.name, engine=engine)
-        )
-        for engine in ENGINES
-    ]
-    for other in results[1:]:
-        assert result_fingerprint(results[0]) == result_fingerprint(other)
-
-
 def test_validate_fastpath_mode_runs_and_passes(monkeypatch):
     monkeypatch.setenv("REPRO_VALIDATE_FASTPATH", "1")
     spec = matrix_spec(3)

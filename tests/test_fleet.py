@@ -41,7 +41,7 @@ from repro.fleet import (
     fleet_violations,
     migration_plan,
 )
-from repro.fleet.engine import build_fleet_trace
+from repro.fleet.engine import _simulate_fleet, build_fleet_trace
 from repro.fleet.transport import (
     capture_vm_state,
     payload_bytes,
@@ -103,7 +103,7 @@ def separated():
     spec = separating_spec()
     return {
         protocol: execute_fleet(
-            FleetRequest(spec=spec, protocol=protocol, engine="fast")
+            FleetRequest(spec=spec, protocol=protocol)
         )
         for protocol in ("software", "hatric", "ideal")
     }
@@ -317,31 +317,24 @@ class TestTransport:
 # ----------------------------------------------------------------------
 class TestDeterminism:
     def test_repeated_runs_are_bit_identical(self):
-        request = FleetRequest(
-            spec=tiny_spec(), protocol="hatric", engine="fast"
-        )
+        request = FleetRequest(spec=tiny_spec(), protocol="hatric")
         first = execute_fleet(request)
         second = execute_fleet(request)
         assert first.fingerprint == second.fingerprint
         assert first.to_dict() == second.to_dict()
 
     def test_engines_agree(self):
-        spec = tiny_spec()
-        outcomes = {
-            engine: execute_fleet(
-                FleetRequest(spec=spec, protocol="software", engine=engine)
-            )
+        # requests run the fast engine, so both go through the machines
+        (reference, reference_digests), (fast, fast_digests) = (
+            _simulate_fleet(tiny_spec(), "software", engine)
             for engine in ("reference", "fast")
-        }
-        assert (
-            outcomes["reference"].fingerprint == outcomes["fast"].fingerprint
         )
+        assert reference.fingerprint == fast.fingerprint
+        assert reference_digests == fast_digests
 
     def test_validated_fastpath_accepts_agreeing_engines(self, monkeypatch):
         monkeypatch.setenv("REPRO_VALIDATE_FASTPATH", "1")
-        request = FleetRequest(
-            spec=tiny_spec(), protocol="hatric", engine="fast"
-        )
+        request = FleetRequest(spec=tiny_spec(), protocol="hatric")
         result = execute_fleet(request)  # raises on any divergence
         assert result.fingerprint
 
@@ -355,9 +348,7 @@ class TestDeterminism:
 
         monkeypatch.setenv("REPRO_VALIDATE_FASTPATH", "1")
         monkeypatch.setattr(FastPageTableWalker, "walk", slower_walk)
-        request = FleetRequest(
-            spec=tiny_spec(), protocol="hatric", engine="fast"
-        )
+        request = FleetRequest(spec=tiny_spec(), protocol="hatric")
         with pytest.raises(
             FastPathMismatchError, match=r"host\d\.busy_cycles: reference="
         ):
@@ -365,7 +356,7 @@ class TestDeterminism:
 
     def test_serial_and_parallel_sessions_agree(self):
         requests = [
-            FleetRequest(spec=tiny_spec(), protocol=protocol, engine="fast")
+            FleetRequest(spec=tiny_spec(), protocol=protocol)
             for protocol in ("software", "ideal")
         ]
         serial = Session().run_fleet(requests)
@@ -470,9 +461,7 @@ class TestCaching:
             decode_result(blob)
 
     def test_session_disk_cache_round_trip(self, tmp_path):
-        request = FleetRequest(
-            spec=tiny_spec(), protocol="ideal", engine="fast"
-        )
+        request = FleetRequest(spec=tiny_spec(), protocol="ideal")
         first = Session(cache_dir=tmp_path)
         (fresh,) = first.run_fleet([request])
         assert first.stats.executed == 1
@@ -490,9 +479,7 @@ class TestCaching:
         assert traffic["bytes"] == fresh.transport["bytes"]
 
     def test_memo_and_dedup_within_a_session(self):
-        request = FleetRequest(
-            spec=tiny_spec(), protocol="ideal", engine="fast"
-        )
+        request = FleetRequest(spec=tiny_spec(), protocol="ideal")
         session = Session()
         first, second = session.run_fleet([request, request])
         assert first.fingerprint == second.fingerprint
@@ -513,7 +500,6 @@ class TestExperiment:
             storm_refs=64,
             intensities=(1, 2),
             protocols=("software", "ideal"),
-            engine="fast",
             session=Session(),
         )
         assert study.ok

@@ -25,7 +25,7 @@ from repro.experiments.fleet import fleet_spec
 from repro.fleet import FleetRequest
 from repro.fleet.engine import execute_fleet
 from repro.sim.config import SystemConfig
-from repro.sim.engine import ENGINES, gc_paused
+from repro.sim.engine import ENGINE_REFERENCE, ENGINES, gc_paused
 from repro.sim.simulator import Run, Simulator, resolve_trace
 from repro.sim.snapshot import SnapshotError, restore_run
 from repro.workloads import make_workload
@@ -70,12 +70,17 @@ class TestNoGarbage:
         "protocol", ["software", "hatric", "unitd", "ideal"]
     )
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_request_leaves_no_garbage(self, engine, protocol, hypervisor):
+    def test_request_leaves_no_garbage(
+        self, engine, protocol, hypervisor, monkeypatch
+    ):
+        # a request runs the fast engine; the validation post-check
+        # builds, runs and closes a reference machine inside it
+        if engine == ENGINE_REFERENCE:
+            monkeypatch.setenv("REPRO_VALIDATE_FASTPATH", "1")
         request = _request(
             config=SystemConfig(
                 num_cpus=2, protocol=protocol, hypervisor=hypervisor
             ),
-            engine=engine,
         )
         assert _garbage_left_by(lambda: execute_request(request)) == 0
 

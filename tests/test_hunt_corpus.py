@@ -85,7 +85,7 @@ def test_corpus_entry_replays_across_engines(monkeypatch, index):
     corpus = _corpus()
     entry = corpus["entries"][index]
     session = Session()
-    requests = corpus_requests(corpus, entry, engine="fast")
+    requests = corpus_requests(corpus, entry)
     results = dict(
         zip(corpus["settings"]["protocols"], session.run_batch(requests))
     )

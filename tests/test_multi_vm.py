@@ -250,20 +250,6 @@ def test_multi_vm_per_app_cycles_empty():
 # ----------------------------------------------------------------------
 # API plumbing
 # ----------------------------------------------------------------------
-def test_request_topology_normalizes_to_name():
-    topology = parse_topology_name("multi:canneal@2+facesim@2")
-    by_topology = RunRequest(config=small_config(), topology=topology)
-    by_name = RunRequest(config=small_config(), workload=topology.name)
-    assert by_topology.workload == topology.name
-    assert by_topology == by_name
-    assert by_topology.cache_key == by_name.cache_key
-    assert "topology" not in by_topology.to_dict()
-    with pytest.raises(ValueError):
-        RunRequest(
-            config=small_config(), workload="canneal", topology=topology
-        )
-
-
 def test_multi_vm_result_cache_round_trip():
     result = Session().run(
         RunRequest(

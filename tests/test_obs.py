@@ -31,7 +31,7 @@ from repro.experiments.fleet import fleet_spec
 from repro.experiments.profile import format_profile, run_profile
 from repro.experiments.runner import baseline_config
 from repro.experiments.timeline import format_timeline_chart
-from repro.fleet import FleetRequest, execute_fleet
+from repro.fleet.engine import _simulate_fleet
 from repro.obs import log as obs_log
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import (
@@ -245,9 +245,9 @@ class TestFleetIntervalConservation:
             storm_refs=64,
             intensity=1,
         )
-        result = execute_fleet(
-            FleetRequest(spec=spec, protocol="software", engine=engine)
-        )
+        # requests run the fast engine; the reference leg runs the
+        # fleet's machines directly
+        result, _ = _simulate_fleet(spec, "software", engine)
         assert result.hosts
         for host in result.hosts:
             intervals = host["intervals"]

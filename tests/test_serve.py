@@ -273,6 +273,51 @@ class TestProtocolErrors:
         asyncio.run(scenario())
 
     @pytest.mark.parametrize(
+        "route, edit, named",
+        [
+            ("/run", lambda r: r.update(refs=r.pop("refs_total")), "refs"),
+            ("/run", lambda r: r.update(engine="fast"), "engine"),
+            ("/fleet", lambda r: r["spec"].update(epoch=9), "epoch"),
+            ("/fleet", lambda r: r.update(engine="fast"), "engine"),
+            ("/fleet", lambda r: r["spec"]["hosts"][0].update(cpus=4), "cpus"),
+            (
+                "/fleet",
+                lambda r: r["spec"]["hosts"][0]["guests"][0].update(vcpu=2),
+                "vcpu",
+            ),
+        ],
+        ids=[
+            "run-misspelt", "run-engine", "fleet-misspelt", "fleet-engine",
+            "host-misspelt", "guest-misspelt",
+        ],
+    )
+    def test_unknown_request_field_is_400(self, tmp_path, route, edit, named):
+        # decoders refuse a key they do not know instead of dropping it:
+        # a misspelt length or epoch count would run its default, and a
+        # request names no engine (the machine does)
+        from repro.experiments.fleet import fleet_spec
+        from repro.fleet.spec import FleetRequest
+
+        if route == "/run":
+            request = run_request().to_dict()
+        else:
+            spec = fleet_spec(hosts=2, vms_per_host=1, num_cpus=2, epochs=2,
+                              epoch_refs=512, storm_refs=64)
+            request = FleetRequest(spec=spec, protocol="hatric").to_dict()
+        edit(request)
+
+        async def scenario():
+            async with serve(tmp_path) as (client, service):
+                status, data = await client.post(route, {"request": request})
+                assert status == 400
+                assert data["error"]["code"] == "invalid-request"
+                assert f"{named}=" in data["error"]["detail"]
+                assert service.metrics.rejected == 1
+                assert service.metrics.requests == 0
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
         "head",
         [
             "POST /run HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
@@ -602,7 +647,7 @@ class TestCompositePayloads:
             epoch_refs=512,
             storm_refs=64,
         )
-        request = FleetRequest(spec=spec, protocol="hatric", engine="fast")
+        request = FleetRequest(spec=spec, protocol="hatric")
 
         async def scenario():
             async with serve(tmp_path) as (client, _):

@@ -171,8 +171,46 @@ def _extra_set(snapshot: dict) -> dict:
     return snapshot
 
 
-#: Shape corruptions of a stored checkpoint that must degrade to a cold
-#: run, by test id.
+def _short_cpus(snapshot: dict) -> dict:
+    """Per-CPU statistics one CPU short."""
+    snapshot["stats"]["cpus"].pop()
+    return snapshot
+
+
+def _string_free_list(snapshot: dict) -> dict:
+    """A fast-memory free list holding a frame number as a string."""
+    snapshot["memory"]["fast"]["free"].append("0")
+    return snapshot
+
+
+def _string_warmup_executed(snapshot: dict) -> dict:
+    """The warmup reference count as a string."""
+    snapshot["warmup"]["executed"] = str(snapshot["warmup"]["executed"])
+    return snapshot
+
+
+def _short_vm_of_cpu(snapshot: dict) -> dict:
+    """The per-CPU VM attribution one CPU short."""
+    snapshot["stats"]["vm_of_cpu"].pop()
+    return snapshot
+
+
+def _unknown_resident_vm(snapshot: dict) -> dict:
+    """A resident page owned by a VM the snapshot does not have."""
+    vm_ids = snapshot["hypervisor"]["resident"]["vm_ids"]
+    vm_ids[0] = max(vm["vm_id"] for vm in snapshot["vms"]) + 1
+    return snapshot
+
+
+def _negative_llc_line(snapshot: dict) -> dict:
+    """An LLC line word below zero."""
+    snapshot["chip"]["llc"]["lines"][0] = -4
+    return snapshot
+
+
+#: Corruptions of a stored checkpoint that must degrade to a cold run,
+#: by test id: broken shapes, and well-shaped fields that would restore
+#: and then crash the run or change its result.
 CORRUPTIONS = {
     "gutted": _gutted,
     "unknown-process": _unknown_process,
@@ -180,6 +218,12 @@ CORRUPTIONS = {
     "short-column": _short_column,
     "overrun-set-counts": _overrun_set_counts,
     "extra-set": _extra_set,
+    "short-cpus": _short_cpus,
+    "string-free-list": _string_free_list,
+    "string-warmup-executed": _string_warmup_executed,
+    "short-vm-of-cpu": _short_vm_of_cpu,
+    "unknown-resident-vm": _unknown_resident_vm,
+    "negative-llc-line": _negative_llc_line,
 }
 
 
@@ -329,8 +373,7 @@ class TestSnapshotRoundTrip:
         recaptured = json.loads(
             json.dumps(capture_snapshot(run, run.positions))
         )
-        assert recaptured["engine"] == restore_engine
-        assert {**recaptured, "engine": engine} == payload
+        assert recaptured == payload
         resumed = run.simulator.resume(run)
         _assert_equal_runs(
             straight, straight_digest,
