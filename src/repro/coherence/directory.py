@@ -26,12 +26,20 @@ design decisions of Section 4.2 of the paper:
 * **Fine-grained tracking** (``FG-tracking`` ablation): sharer lists are
   kept per structure kind, eliminating spurious messages at the cost of
   a larger, more energy-hungry directory.
+
+An entry stores its sharer list as the paper's directory entry does: a
+CPU bit-vector (bit ``c`` set when CPU ``c`` may hold the line), next to
+the nPT/gPT bits.  The vector is a plain ``int``, unbounded like the
+snapshot's sharer mask, so a machine holds no container per entry.
+Sharer sets handed to callers (:meth:`CoherenceDirectory.sharers_of`,
+:class:`WriteOutcome`, :class:`BackInvalidation`) are frozensets built
+from it; none of their consumers depends on their iteration order.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -45,17 +53,26 @@ class SharerKind(Enum):
     NTLB = "ntlb"
 
 
+def mask_cpus(mask: int) -> frozenset[int]:
+    """The CPUs whose bits are set in a sharer bit-vector."""
+    return frozenset(
+        cpu for cpu in range(mask.bit_length()) if mask >> cpu & 1
+    )
+
+
 @dataclass(slots=True)
 class DirectoryEntry:
     """Directory state for one cache line."""
 
     line: int
-    sharers: set[int] = field(default_factory=set)
+    #: CPU bit-vector of the line's sharers.
+    sharers: int = 0
     owner: Optional[int] = None
     is_nested_pt: bool = False
     is_guest_pt: bool = False
-    #: Only populated when fine-grained tracking is enabled.
-    fine_sharers: dict[SharerKind, set[int]] = field(default_factory=dict)
+    #: A CPU bit-vector per structure kind when fine-grained tracking is
+    #: enabled, else None.
+    fine_sharers: Optional[dict[SharerKind, int]] = None
 
     @property
     def is_page_table(self) -> bool:
@@ -152,11 +169,13 @@ class CoherenceDirectory:
                 back_invs.append(
                     BackInvalidation(
                         line=victim.line,
-                        cpus=frozenset(victim.sharers),
+                        cpus=mask_cpus(victim.sharers),
                         is_page_table=victim.is_page_table,
                     )
                 )
-        entry = DirectoryEntry(line=line)
+        entry = DirectoryEntry(
+            line=line, fine_sharers={} if self.fine_grained else None
+        )
         self._entries[line] = entry
         self.stats.allocations += 1
         return entry, back_invs
@@ -179,11 +198,13 @@ class CoherenceDirectory:
         """
         self._check_cpu(cpu)
         entry, back_invs = self._get_or_allocate(line)
-        entry.sharers.add(cpu)
+        bit = 1 << cpu
+        entry.sharers |= bit
         entry.is_nested_pt = entry.is_nested_pt or is_nested_pt
         entry.is_guest_pt = entry.is_guest_pt or is_guest_pt
         if self.fine_grained:
-            entry.fine_sharers.setdefault(kind, set()).add(cpu)
+            fine = entry.fine_sharers
+            fine[kind] = fine.get(kind, 0) | bit
         return back_invs
 
     def record_eviction(
@@ -200,15 +221,18 @@ class CoherenceDirectory:
         entry = self._entries.get(line)
         if entry is None:
             return
-        if self.fine_grained and kind in entry.fine_sharers:
-            entry.fine_sharers[kind].discard(cpu)
+        bit = 1 << cpu
+        fine = entry.fine_sharers
+        if self.fine_grained and kind in fine:
+            # a kind whose CPUs all left keeps its (empty) vector
+            fine[kind] &= ~bit
         if entry.is_page_table and self.lazy_pt_sharer_updates:
             return
         if self.fine_grained:
-            still_shared = any(cpu in s for s in entry.fine_sharers.values())
+            still_shared = any(mask & bit for mask in fine.values())
             if still_shared:
                 return
-        entry.sharers.discard(cpu)
+        entry.sharers &= ~bit
         if not entry.sharers:
             self._entries.pop(line, None)
 
@@ -217,9 +241,12 @@ class CoherenceDirectory:
         entry = self._entries.get(line)
         if entry is None:
             return
-        entry.sharers.discard(cpu)
-        for sharers in entry.fine_sharers.values():
-            sharers.discard(cpu)
+        keep = ~(1 << cpu)
+        entry.sharers &= keep
+        fine = entry.fine_sharers
+        if fine:
+            for kind in fine:
+                fine[kind] &= keep
         self.stats.sharer_demotions += 1
         if not entry.sharers:
             self._entries.pop(line, None)
@@ -239,23 +266,23 @@ class CoherenceDirectory:
         if entry.is_page_table:
             self.stats.pt_writes_observed += 1
         if self.fine_grained and entry.fine_sharers:
-            targets: set[int] = set()
-            for sharers in entry.fine_sharers.values():
-                targets |= sharers
-            targets.discard(writer)
+            targets = 0
+            for mask in entry.fine_sharers.values():
+                targets |= mask
         else:
-            targets = set(entry.sharers)
-            targets.discard(writer)
-        self.stats.invalidations_sent += len(targets)
+            targets = entry.sharers
+        bit = 1 << writer
+        targets &= ~bit
+        self.stats.invalidations_sent += targets.bit_count()
         outcome = WriteOutcome(
-            invalidate_cpus=frozenset(targets),
+            invalidate_cpus=mask_cpus(targets),
             is_nested_pt=entry.is_nested_pt,
             is_guest_pt=entry.is_guest_pt,
         )
-        entry.sharers = {writer}
+        entry.sharers = bit
         entry.owner = writer
         if self.fine_grained:
-            entry.fine_sharers = {SharerKind.CACHE: {writer}}
+            entry.fine_sharers = {SharerKind.CACHE: bit}
         return outcome
 
     def note_spurious_invalidation(self, line: int, cpu: int) -> None:
@@ -285,7 +312,7 @@ class CoherenceDirectory:
         entry = self._entries.get(line)
         if entry is None:
             return frozenset()
-        return frozenset(entry.sharers)
+        return mask_cpus(entry.sharers)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -4,24 +4,25 @@ Caches are modelled at cache-line granularity with LRU replacement.
 Lines remember whether they hold page table data: the coherence
 directory needs that distinction (its nPT/gPT bits) and so do HATRIC's
 invalidation paths.
+
+A line's state is one flag word, not an object: each set maps a line
+address to ``LINE_DIRTY | LINE_PAGE_TABLE`` bits, the hardware's
+per-line dirty bit plus the page-table mark.  They are the low bits of
+a snapshot's packed line word (``address << 2 | flags``), so capture
+and restore read and write the words as they are.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.translation.address import CACHE_LINE_SIZE
 
-
-@dataclass(slots=True)
-class CacheLine:
-    """State of one resident cache line."""
-
-    address: int
-    dirty: bool = False
-    is_page_table: bool = False
+#: Flag bits of a resident line's word.
+LINE_DIRTY = 1
+LINE_PAGE_TABLE = 2
 
 
 @dataclass
@@ -70,7 +71,7 @@ class Cache:
         self.latency = latency
         self.line_size = line_size
         self.num_sets = size_bytes // (associativity * line_size)
-        self._sets: list[OrderedDict[int, CacheLine]] = [
+        self._sets: list[OrderedDict[int, int]] = [
             OrderedDict() for _ in range(self.num_sets)
         ]
         self.stats = CacheStats()
@@ -93,13 +94,14 @@ class Cache:
         line_addr = self.line_address(address)
         cache_set = self._sets[self._set_index(line_addr)]
         self.stats.accesses += 1
-        line = cache_set.get(line_addr)
-        if line is None:
+        flags = cache_set.get(line_addr)
+        if flags is None:
             self.stats.misses += 1
             return False
         cache_set.move_to_end(line_addr)
         if is_write:
-            line.dirty = True
+            # storing to a present key keeps its LRU position
+            cache_set[line_addr] = flags | LINE_DIRTY
         self.stats.hits += 1
         return True
 
@@ -108,26 +110,29 @@ class Cache:
         address: int,
         is_write: bool = False,
         is_page_table: bool = False,
-    ) -> Optional[CacheLine]:
-        """Bring a line into the cache; return the victim line if any."""
+    ) -> Optional[tuple[int, int]]:
+        """Bring a line into the cache.
+
+        Returns the victim as ``(address, flags)``, or None when nothing
+        was evicted.
+        """
         line_addr = self.line_address(address)
         cache_set = self._sets[self._set_index(line_addr)]
         self.stats.fills += 1
+        flags = (LINE_DIRTY if is_write else 0) | (
+            LINE_PAGE_TABLE if is_page_table else 0
+        )
         if line_addr in cache_set:
-            line = cache_set[line_addr]
-            line.dirty = line.dirty or is_write
-            line.is_page_table = line.is_page_table or is_page_table
+            cache_set[line_addr] |= flags
             cache_set.move_to_end(line_addr)
             return None
         victim = None
         if len(cache_set) >= self.associativity:
-            _, victim = cache_set.popitem(last=False)
+            victim = cache_set.popitem(last=False)
             self.stats.evictions += 1
-            if victim.dirty:
+            if victim[1] & LINE_DIRTY:
                 self.stats.writebacks += 1
-        cache_set[line_addr] = CacheLine(
-            address=line_addr, dirty=is_write, is_page_table=is_page_table
-        )
+        cache_set[line_addr] = flags
         return victim
 
     def contains(self, address: int) -> bool:

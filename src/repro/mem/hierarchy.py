@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
-from repro.mem.cache import Cache
+from repro.mem.cache import LINE_PAGE_TABLE, Cache
 from repro.mem.memory import TwoTierMemory
 from repro.translation.address import PAGE_SHIFT
 
@@ -120,10 +120,11 @@ class CacheHierarchy:
         victim = cache.fill(spa, is_write, is_page_table)
         if victim is None:
             return
+        address, flags = victim
         # The victim left this level; it only left the private caches
         # entirely if the other private level does not hold it either.
         other = self.l2 if cache is self.l1 else self.l1
-        if not other.contains(victim.address) and self.listener is not None:
+        if not other.contains(address) and self.listener is not None:
             self.listener.on_private_eviction(
-                self.cpu_id, victim.address, victim.is_page_table
+                self.cpu_id, address, bool(flags & LINE_PAGE_TABLE)
             )

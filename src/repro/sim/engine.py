@@ -61,9 +61,9 @@ from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
-from repro.coherence.directory import DirectoryEntry, SharerKind
+from repro.coherence.directory import DirectoryEntry, SharerKind, mask_cpus
 from repro.env import env_choice
-from repro.mem.cache import CacheLine
+from repro.mem.cache import LINE_DIRTY, LINE_PAGE_TABLE
 from repro.mem.hierarchy import AccessResult, CacheHierarchy
 from repro.sim.config import PLACEMENT_PAGED
 from repro.translation.address import (
@@ -188,15 +188,18 @@ def _make_access_cycles(hierarchy: FastCacheHierarchy, directory):
     tier_of = hierarchy.memory.tier_of
     listener = hierarchy.listener
     cpu_id = hierarchy.cpu_id
+    cpu_bit = 1 << cpu_id
 
     # Neither notifier holds the hierarchy: ``access_cycles`` lives on
     # it, and a back-edge would keep every finished machine cyclic.
     if directory is None:
-        def notify_eviction(line: int, is_page_table: bool) -> None:
+        def notify_eviction(line: int, flags: int) -> None:
             """Mirror a line leaving the private caches (reference path)."""
-            listener.on_private_eviction(cpu_id, line, is_page_table)
+            listener.on_private_eviction(
+                cpu_id, line, bool(flags & LINE_PAGE_TABLE)
+            )
     else:
-        def notify_eviction(line: int, is_page_table: bool) -> None:
+        def notify_eviction(line: int, flags: int) -> None:
             """Mirror a line leaving the private caches (common case)."""
             entries = directory._entries
             entry = entries.get(line)
@@ -205,37 +208,28 @@ def _make_access_cycles(hierarchy: FastCacheHierarchy, directory):
             if entry.is_nested_pt or entry.is_guest_pt:
                 # lazy page-table sharer updates: leave the sharer list.
                 return
-            entry.sharers.discard(cpu_id)
+            entry.sharers &= ~cpu_bit
             if not entry.sharers:
                 del entries[line]
 
-    def fill_private(cache, cset, other_list, other_sets, line, is_write,
-                     is_page_table, associativity):
+    def fill_private(cache, cset, other_list, other_sets, line, flags,
+                     associativity):
         """Insert ``line`` into a private level that just missed it."""
         stats = cache.stats
         stats.fills += 1
-        if len(cset) >= associativity:
-            _, victim = cset.popitem(last=False)
-            stats.evictions += 1
-            if victim.dirty:
-                stats.writebacks += 1
-            victim_address = victim.address
-            victim_page_table = victim.is_page_table
-            # recycle the victim object (identity is unobservable)
-            victim.address = line
-            victim.dirty = is_write
-            victim.is_page_table = is_page_table
-            cset[line] = victim
-            if (
-                victim_address
-                not in other_list[(victim_address // line_size) % other_sets]
-                and listener is not None
-            ):
-                notify_eviction(victim_address, victim_page_table)
-        else:
-            cset[line] = CacheLine(
-                address=line, dirty=is_write, is_page_table=is_page_table
-            )
+        if len(cset) < associativity:
+            cset[line] = flags
+            return
+        victim, victim_flags = cset.popitem(last=False)
+        stats.evictions += 1
+        if victim_flags & LINE_DIRTY:
+            stats.writebacks += 1
+        cset[line] = flags
+        if (
+            victim not in other_list[(victim // line_size) % other_sets]
+            and listener is not None
+        ):
+            notify_eviction(victim, victim_flags)
 
     def access_cycles(
         spa: int, is_write: bool = False, is_page_table: bool = False
@@ -246,36 +240,38 @@ def _make_access_cycles(hierarchy: FastCacheHierarchy, directory):
         s1 = s1_list[set_number % n1]
         st = l1.stats
         st.accesses += 1
-        cl = s1.get(line)
-        if cl is not None:
+        hit = s1.get(line)
+        if hit is not None:
             st.hits += 1
             s1.move_to_end(line)
-            if is_write:
-                cl.dirty = True
+            if is_write and not hit & LINE_DIRTY:
+                s1[line] = hit | LINE_DIRTY
             return lat1
         st.misses += 1
+        # the flag word of the line the private levels are about to fill
+        flags = is_write | is_page_table << 1
         s2 = s2_list[set_number % n2]
         st = l2.stats
         st.accesses += 1
-        cl = s2.get(line)
-        if cl is not None:
+        hit = s2.get(line)
+        if hit is not None:
             st.hits += 1
             s2.move_to_end(line)
-            if is_write:
-                cl.dirty = True
-            fill_private(l1, s1, s2_list, n2, line, is_write, is_page_table, a1)
+            if is_write and not hit & LINE_DIRTY:
+                s2[line] = hit | LINE_DIRTY
+            fill_private(l1, s1, s2_list, n2, line, flags, a1)
             return lat12
         st.misses += 1
         cycles = lat123
         s3 = s3_list[set_number % n3]
         st = llc.stats
         st.accesses += 1
-        cl = s3.get(line)
-        if cl is not None:
+        hit = s3.get(line)
+        if hit is not None:
             st.hits += 1
             s3.move_to_end(line)
-            if is_write:
-                cl.dirty = True
+            if is_write and not hit & LINE_DIRTY:
+                s3[line] = hit | LINE_DIRTY
         else:
             st.misses += 1
             tier = tier_of(spa >> PAGE_SHIFT)
@@ -283,24 +279,16 @@ def _make_access_cycles(hierarchy: FastCacheHierarchy, directory):
             cycles += tier.access_latency
             st.fills += 1
             if len(s3) >= a3:
-                _, victim = s3.popitem(last=False)
+                _, victim_flags = s3.popitem(last=False)
                 st.evictions += 1
-                if victim.dirty:
+                if victim_flags & LINE_DIRTY:
                     st.writebacks += 1
-                # recycle the victim object (identity is unobservable)
-                victim.address = line
-                victim.dirty = is_write
-                victim.is_page_table = is_page_table
-                s3[line] = victim
-            else:
-                s3[line] = CacheLine(
-                    address=line, dirty=is_write, is_page_table=is_page_table
-                )
+            s3[line] = flags
         # The line just missed both private levels, so it is newly
         # resident: fill L2 then L1, then report the private fill
         # (reference ``_fill_private_levels`` order).
-        fill_private(l2, s2, s1_list, n1, line, is_write, is_page_table, a2)
-        fill_private(l1, s1, s2_list, n2, line, is_write, is_page_table, a1)
+        fill_private(l2, s2, s1_list, n1, line, flags, a2)
+        fill_private(l1, s1, s2_list, n2, line, flags, a1)
         # newly-resident private line -> directory (reference
         # ``listener.on_private_fill``), common case inlined.
         if listener is not None:
@@ -310,13 +298,13 @@ def _make_access_cycles(hierarchy: FastCacheHierarchy, directory):
                 if entry is not None:
                     directory.stats.lookups += 1
                     entries.move_to_end(line)
-                    entry.sharers.add(cpu_id)
+                    entry.sharers |= cpu_bit
                     return cycles
                 capacity = directory.capacity
                 if capacity is None or len(entries) < capacity:
                     directory.stats.lookups += 1
                     directory.stats.allocations += 1
-                    entries[line] = DirectoryEntry(line=line, sharers={cpu_id})
+                    entries[line] = DirectoryEntry(line, cpu_bit)
                     return cycles
             # capacity pressure / fine-grained directory: reference
             # path (handles back-invalidations).
@@ -928,11 +916,11 @@ class FastPathExecutor:
             spa = (spp << PAGE_SHIFT) | (gva & offset_mask)
             line = spa & line_mask
             line_set = l1_sets[(line // l1_line_size) % l1_num_sets]
-            cache_line = line_set.get(line)
-            if cache_line is not None:
+            flags = line_set.get(line)
+            if flags is not None:
                 line_set.move_to_end(line)
-                if is_write:
-                    cache_line.dirty = True
+                if is_write and not flags & LINE_DIRTY:
+                    line_set[line] = flags | LINE_DIRTY
                 warm_refs += 1
                 if not defrag:
                     prev_gvp = gvp
@@ -1167,7 +1155,8 @@ class FastPathExecutor:
                 l1_sets[(line >> _LINE_SHIFT) % num_sets].move_to_end(line)
             if written.any():
                 for line in np.unique(lines[written]).tolist():
-                    l1_sets[(line >> _LINE_SHIFT) % num_sets][line].dirty = True
+                    line_set = l1_sets[(line >> _LINE_SHIFT) % num_sets]
+                    line_set[line] |= LINE_DIRTY
 
         if self._paged and self._policy_kind == "clock":
             # Touched bits are idempotent, so distinct pages suffice.
@@ -1288,6 +1277,15 @@ def result_fingerprint(result: "SimulationResult") -> dict[str, Any]:
     }
 
 
+def _digest_lines(cache) -> list[tuple[int, bool, bool]]:
+    """A cache's lines as ``(address, dirty, is_page_table)`` in LRU order."""
+    return [
+        (address, bool(flags & LINE_DIRTY), bool(flags & LINE_PAGE_TABLE))
+        for cache_set in cache._sets
+        for address, flags in cache_set.items()
+    ]
+
+
 def machine_digest(simulator: "Simulator") -> dict[str, Any]:
     """Deep post-run snapshot of the simulated machine's state.
 
@@ -1311,28 +1309,20 @@ def machine_digest(simulator: "Simulator") -> dict[str, Any]:
         for cache in (core.l1, core.l2):
             core_digest[cache.name] = {
                 "stats": vars(cache.stats).copy(),
-                "lines": [
-                    (line.address, line.dirty, line.is_page_table)
-                    for cache_set in cache._sets
-                    for line in cache_set.values()
-                ],
+                "lines": _digest_lines(cache),
             }
         core_digest["walker"] = vars(core.walker.stats).copy()
         digest["cores"].append(core_digest)
     digest["llc"] = {
         "stats": vars(chip.llc.stats).copy(),
-        "lines": [
-            (line.address, line.dirty, line.is_page_table)
-            for cache_set in chip.llc._sets
-            for line in cache_set.values()
-        ],
+        "lines": _digest_lines(chip.llc),
     }
     digest["directory"] = {
         "stats": vars(chip.directory.stats).copy(),
         "entries": [
             (
                 entry.line,
-                tuple(sorted(entry.sharers)),
+                tuple(sorted(mask_cpus(entry.sharers))),
                 entry.owner,
                 entry.is_nested_pt,
                 entry.is_guest_pt,

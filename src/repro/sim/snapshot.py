@@ -34,14 +34,19 @@ encoding and decoding pay per integer, not per nested list:
   column, and the paging policy's queue as ``vm_ids``/``gpps`` (plus
   ``referenced`` for the CLOCK policy).
 
-Decoding refills the machine's existing containers in place (the fast
-engine holds references to them) and rebuilds sharer sets in ascending
-CPU order, as ``set(sorted(...))`` would.  It refuses columns of
-unequal length and counts that do not tile their column with
-:class:`SnapshotError`, because ``zip`` would silently truncate them
-and restore a different machine.  It also refuses per-CPU statistics
-short of ``num_cpus``, non-integer counters and allocator state, VM
-columns naming an unknown VM and negative line words, which would
+The machine holds these words itself: a cache set maps each line
+address to its flag word (:data:`repro.mem.cache.LINE_DIRTY`,
+:data:`~repro.mem.cache.LINE_PAGE_TABLE`) and a directory entry keeps
+its sharers as a CPU bit-vector, so capture reads the words and
+restore writes them back.  Decoding refills the machine's existing
+containers in place (the fast engine holds references to them).  It
+refuses columns of unequal length and counts that do not tile their
+column with :class:`SnapshotError`, because ``zip`` would silently
+truncate them and restore a different machine.  It also refuses
+per-CPU statistics short of ``num_cpus``, non-integer counters and
+allocator state, VM columns naming an unknown VM, negative line words,
+sharer masks naming a CPU the machine lacks and fine-grained sharer
+rows for a directory that tracks none, which would
 restore and then crash the run or change its result; every resumed
 sweep point pays for these checks, so they use whole-column builtins.
 
@@ -71,12 +76,13 @@ guard is what turns that from a correctness hazard into a cache miss.
 from __future__ import annotations
 
 import hashlib
+from itertools import islice
 from typing import Any, Optional
 
 import numpy as np
 
 from repro.coherence.directory import DirectoryEntry, DirectoryStats, SharerKind
-from repro.mem.cache import Cache, CacheLine, CacheStats
+from repro.mem.cache import LINE_DIRTY, LINE_PAGE_TABLE, Cache, CacheStats
 from repro.sim.config import config_from_dict, config_to_dict
 from repro.sim.simulator import Run, Simulator
 from repro.sim.stats import CpuStats, EventCounter, IntervalSample, VmStats
@@ -201,25 +207,13 @@ def _check_vm_ids(vm_ids: list[int], known: set[int], what: str) -> None:
         raise SnapshotError(f"snapshot {what} names an unknown VM")
 
 
-def _mask(cpus) -> int:
-    """A CPU set as a bitmask (a plain int: ``num_cpus`` is unbounded)."""
-    mask = 0
-    for cpu in cpus:
-        mask |= 1 << cpu
-    return mask
-
-
-def _mask_cpus(mask: int, num_cpus: int) -> tuple[int, ...]:
-    """The CPUs of a bitmask in ascending order.
-
-    Sets rebuilt from it therefore equal the ``set(sorted(...))`` of
-    the captured set, iteration order included.
-    """
-    if mask < 0 or mask >> num_cpus:
+def _check_masks(masks: list[int], num_cpus: int, what: str) -> None:
+    """Refuse a sharer mask naming a CPU outside ``0..num_cpus - 1``."""
+    _check_ints(masks, what)
+    if masks and (min(masks) < 0 or max(masks) >> num_cpus):
         raise SnapshotError(
-            f"sharer mask {mask} names a CPU outside 0..{num_cpus - 1}"
+            f"snapshot {what} names a CPU outside 0..{num_cpus - 1}"
         )
-    return tuple(cpu for cpu in range(mask.bit_length()) if mask >> cpu & 1)
 
 
 def _key_width(structure) -> int:
@@ -276,9 +270,9 @@ def _encode_cache(cache: Cache) -> dict[str, Any]:
         "stats": vars(cache.stats).copy(),
         "counts": [len(cache_set) for cache_set in sets],
         "lines": [
-            line.address << 2 | line.is_page_table << 1 | line.dirty
+            address << 2 | flags
             for cache_set in sets
-            for line in cache_set.values()
+            for address, flags in cache_set.items()
         ],
     }
 
@@ -293,25 +287,22 @@ def _load_cache(cache: Cache, data: dict[str, Any]) -> None:
         )
     _check_counts(counts, len(words), f"cache {cache.name} set")
     _check_words(words, f"cache {cache.name}")
-    lines = [
-        CacheLine(word >> 2, word & 1 == 1, word & 2 == 2) for word in words
-    ]
-    start = 0
+    flag_bits = LINE_DIRTY | LINE_PAGE_TABLE
+    remaining = iter(words)
     for cache_set, count in zip(cache._sets, counts):
         cache_set.clear()
-        for line in lines[start:start + count]:
-            cache_set[line.address] = line
-        start += count
+        for word in islice(remaining, count):
+            cache_set[word >> 2] = word & flag_bits
     cache.stats = CacheStats(**data["stats"])
 
 
 def _encode_directory(directory) -> dict[str, Any]:
     entries = list(directory._entries.values())
     fine = [
-        (index, _KIND_CODES[kind], _mask(cpus))
+        (index, _KIND_CODES[kind], mask)
         for index, entry in enumerate(entries)
         if entry.fine_sharers
-        for kind, cpus in entry.fine_sharers.items()
+        for kind, mask in entry.fine_sharers.items()
     ]
     return {
         "stats": vars(directory.stats).copy(),
@@ -323,7 +314,7 @@ def _encode_directory(directory) -> dict[str, Any]:
             _NONE if entry.owner is None else entry.owner
             for entry in entries
         ],
-        "sharers": [_mask(entry.sharers) for entry in entries],
+        "sharers": [entry.sharers for entry in entries],
         "fine_entries": [index for index, _, _ in fine],
         "fine_kinds": [kind for _, kind, _ in fine],
         "fine_sharers": [mask for _, _, mask in fine],
@@ -336,25 +327,29 @@ def _load_directory(directory, data: dict[str, Any]) -> None:
         data, "fine_entries", "fine_kinds", "fine_sharers"
     )
     _check_words(words, "directory")
-    num_cpus = directory.num_cpus
-    cpus_of = {
-        mask: _mask_cpus(mask, num_cpus) for mask in {*masks, *fine_masks}
-    }
+    _check_masks(masks, directory.num_cpus, "directory sharers")
+    _check_masks(fine_masks, directory.num_cpus, "directory fine sharers")
+    fine_grained = directory.fine_grained
     entries = directory._entries
     entries.clear()
     for word, owner, mask in zip(words, owners, masks):
         line = word >> 2
         entries[line] = DirectoryEntry(
             line,
-            set(cpus_of[mask]),
+            mask,
             None if owner < 0 else owner,
             word & 2 == 2,
             word & 1 == 1,
-            {},
+            {} if fine_grained else None,
         )
     if len(entries) != len(words):
         raise SnapshotError("snapshot directory repeats a line")
     if fine_entries:
+        if not fine_grained:
+            raise SnapshotError(
+                "snapshot has fine-grained sharer rows for a directory "
+                "without fine-grained tracking"
+            )
         loaded = list(entries.values())
         kinds = len(_SHARER_KINDS)
         for index, kind, mask in zip(fine_entries, fine_kinds, fine_masks):
@@ -363,9 +358,7 @@ def _load_directory(directory, data: dict[str, Any]) -> None:
                     f"fine-grained sharer row ({index}, {kind}) names no "
                     f"directory entry or sharer kind"
                 )
-            loaded[index].fine_sharers[_SHARER_KINDS[kind]] = set(
-                cpus_of[mask]
-            )
+            loaded[index].fine_sharers[_SHARER_KINDS[kind]] = mask
     directory.stats = DirectoryStats(**data["stats"])
 
 

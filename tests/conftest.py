@@ -12,6 +12,7 @@ import pytest
 from repro.core.cotag import CoTagScheme
 from repro.core.protocol import make_protocol
 from repro.cpu.chip import Chip
+from repro.env import env_choice
 from repro.sim.config import (
     CacheConfig,
     CoherenceDirectoryConfig,
@@ -22,6 +23,18 @@ from repro.sim.config import (
 )
 from repro.sim.stats import MachineStats
 from repro.virt.kvm import KvmHypervisor
+
+
+def update_golden_requested() -> bool:
+    """True when ``REPRO_UPDATE_GOLDEN`` asks to rewrite ``tests/golden/``.
+
+    Parsed strictly, like every ``REPRO_*`` flag: ``0``/``false`` leave
+    the committed snapshots alone, and a typo raises instead of
+    rewriting them.
+    """
+    return env_choice(
+        "REPRO_UPDATE_GOLDEN", "0", ("0", "false", "1", "true")
+    ) in ("1", "true")
 
 
 def small_config(**overrides) -> SystemConfig:

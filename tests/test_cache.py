@@ -2,11 +2,17 @@
 
 import pytest
 
-from repro.mem.cache import Cache
+from repro.mem.cache import LINE_DIRTY, LINE_PAGE_TABLE, Cache
 
 
 def make_cache(size=1024, assoc=2, latency=4):
     return Cache("test", size_bytes=size, associativity=assoc, latency=latency)
+
+
+def _flags(cache, address):
+    """The flag word of the resident line holding ``address``."""
+    line = cache.line_address(address)
+    return cache._sets[cache._set_index(line)][line]
 
 
 class TestGeometry:
@@ -43,30 +49,46 @@ class TestAccessAndFill:
         cache = make_cache(size=128, assoc=1)  # 2 sets, direct mapped
         cache.fill(0x0000)
         victim = cache.fill(0x0000 + 128)  # same set (2 sets * 64B)
-        assert victim is not None
-        assert victim.address == 0x0000
+        assert victim == (0x0000, 0)
         assert not cache.contains(0x0000)
 
     def test_write_sets_dirty_and_writeback_counted(self):
         cache = make_cache(size=128, assoc=1)
         cache.fill(0x0000, is_write=True)
         victim = cache.fill(0x0000 + 128)
-        assert victim.dirty
+        assert victim == (0x0000, LINE_DIRTY)
         assert cache.stats.writebacks == 1
 
     def test_fill_preserves_page_table_flag(self):
         cache = make_cache()
         cache.fill(0x2000, is_page_table=True)
         cache.fill(0x2000)  # refresh without the flag
-        lines = cache.resident_lines()
-        assert 0x2000 in lines
+        assert _flags(cache, 0x2000) == LINE_PAGE_TABLE
+        cache.fill(0x2000, is_write=True)  # a refresh ORs the bits in
+        assert _flags(cache, 0x2000) == LINE_PAGE_TABLE | LINE_DIRTY
 
     def test_access_write_marks_dirty(self):
         cache = make_cache(size=128, assoc=1)
         cache.fill(0x0000)
+        cache.access(0x0000)
+        assert _flags(cache, 0x0000) == 0
         cache.access(0x0000, is_write=True)
+        assert _flags(cache, 0x0000) == LINE_DIRTY
         victim = cache.fill(0x0080)
-        assert victim.dirty
+        assert victim == (0x0000, LINE_DIRTY)
+
+    def test_victim_carries_both_flags(self):
+        cache = make_cache(size=128, assoc=1)
+        cache.fill(0x0000, is_write=True, is_page_table=True)
+        assert cache.fill(0x0080) == (0x0000, LINE_DIRTY | LINE_PAGE_TABLE)
+        assert cache.stats.writebacks == 1
+
+    def test_write_access_keeps_lru_position(self):
+        cache = make_cache(size=128, assoc=2)  # 1 set, 2 ways
+        cache.fill(0x0000)
+        cache.fill(0x0040)
+        cache.access(0x0000, is_write=True)  # now most recently used
+        assert cache.fill(0x0080) == (0x0040, 0)
 
 
 class TestInvalidation:

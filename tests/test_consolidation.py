@@ -14,7 +14,6 @@ intentional simulator change with::
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -23,6 +22,7 @@ from repro.api import Session
 from repro.experiments import format_consolidation, run_consolidation
 from repro.experiments.consolidation import consolidation_topology
 from repro.workloads.synthetic import scenario_spec
+from tests.conftest import update_golden_requested
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -52,7 +52,7 @@ def test_consolidation_tiny_snapshot(result):
     }
     assert len(payload) == 3
     path = GOLDEN_DIR / "consolidation_tiny.json"
-    if os.environ.get("REPRO_UPDATE_GOLDEN"):
+    if update_golden_requested():
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     stored = json.loads(path.read_text())
     assert payload == stored, (

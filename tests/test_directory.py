@@ -129,8 +129,7 @@ class TestFineGrainedTracking:
         directory.record_fill(0x1000, 0, kind=SharerKind.TLB, is_nested_pt=True)
         directory.record_fill(0x1000, 1, kind=SharerKind.CACHE)
         entry = directory.lookup(0x1000)
-        assert entry.fine_sharers[SharerKind.TLB] == {0}
-        assert entry.fine_sharers[SharerKind.CACHE] == {1}
+        assert entry.fine_sharers == {SharerKind.TLB: 0b01, SharerKind.CACHE: 0b10}
 
     def test_fine_grained_write_targets_union_of_kinds(self):
         directory = make_directory(fine_grained=True)
@@ -138,3 +137,46 @@ class TestFineGrainedTracking:
         directory.record_fill(0x1000, 1, kind=SharerKind.MMU_CACHE)
         outcome = directory.record_write(0x1000, writer=2)
         assert outcome.invalidate_cpus == {0, 1}
+
+    def test_kind_emptied_by_eviction_keeps_its_zero_mask(self):
+        directory = make_directory(num_cpus=16, fine_grained=True)
+        directory.record_fill(0x1000, 10, kind=SharerKind.TLB)
+        directory.record_fill(0x1000, 13, kind=SharerKind.CACHE)
+        directory.record_eviction(0x1000, 10, kind=SharerKind.TLB)
+        entry = directory.lookup(0x1000)
+        assert entry.fine_sharers == {SharerKind.TLB: 0, SharerKind.CACHE: 1 << 13}
+        assert directory.sharers_of(0x1000) == {13}
+
+    def test_coarse_entries_hold_no_fine_vectors(self):
+        directory = make_directory()
+        directory.record_fill(0x1000, 0, kind=SharerKind.TLB)
+        assert directory.lookup(0x1000).fine_sharers is None
+
+
+class TestSharerBitVectors:
+    """Sharers are a CPU bit-vector, handed out as frozensets."""
+
+    def test_sharers_are_a_cpu_bit_vector(self):
+        directory = make_directory(num_cpus=16)
+        directory.record_fill(0x1000, 12)
+        directory.record_fill(0x1000, 4)
+        assert directory.lookup(0x1000).sharers == 1 << 12 | 1 << 4
+        assert directory.sharers_of(0x1000) == {4, 12}
+
+    def test_write_counts_targets_by_popcount(self):
+        directory = make_directory(num_cpus=16)
+        for cpu in (15, 3, 8, 0):
+            directory.record_fill(0x1000, cpu)
+        outcome = directory.record_write(0x1000, writer=8)
+        assert isinstance(outcome.invalidate_cpus, frozenset)
+        assert outcome.invalidate_cpus == {0, 3, 15}
+        assert directory.stats.invalidations_sent == 3
+        assert directory.lookup(0x1000).sharers == 1 << 8
+
+    def test_back_invalidation_names_every_sharer(self):
+        directory = make_directory(num_cpus=16, capacity=1)
+        directory.record_fill(0x1000, 9)
+        directory.record_fill(0x1000, 14)
+        [back] = directory.record_fill(0x2000, 1)
+        assert isinstance(back.cpus, frozenset)
+        assert back.cpus == {9, 14}

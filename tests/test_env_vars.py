@@ -21,6 +21,7 @@ from repro.sim.engine import (
     resolve_engine,
     validate_fastpath_requested,
 )
+from tests.conftest import update_golden_requested
 
 #: (env var, parse callable, valid raw value, expected parsed value,
 #:  invalid raw value).  The parse callable reads the environment the
@@ -78,6 +79,13 @@ ENV_TABLE = [
         "true",
         "true",
         "maybe",
+    ),
+    (
+        "REPRO_UPDATE_GOLDEN",
+        update_golden_requested,
+        "true",
+        True,
+        "ture",
     ),
     (
         "REPRO_TRACE",

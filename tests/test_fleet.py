@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import copy
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -57,6 +56,7 @@ from repro.sim.stats import (
     nearest_rank_percentile,
     tail_latency_percentiles,
 )
+from tests.conftest import update_golden_requested
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -522,7 +522,7 @@ class TestExperiment:
 # ----------------------------------------------------------------------
 def _check_golden(filename: str, payload: dict) -> None:
     path = GOLDEN_DIR / filename
-    if os.environ.get("REPRO_UPDATE_GOLDEN"):
+    if update_golden_requested():
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     stored = json.loads(path.read_text())
     assert payload == stored, (

@@ -17,11 +17,11 @@ change::
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from repro.api import ExperimentScale, Session
 from repro.experiments import run_figure7, run_figure9
+from tests.conftest import update_golden_requested
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -34,7 +34,7 @@ TINY = ExperimentScale(trace_scale=0.2)
 
 def _check(filename: str, payload: dict) -> None:
     path = GOLDEN_DIR / filename
-    if os.environ.get("REPRO_UPDATE_GOLDEN"):
+    if update_golden_requested():
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     stored = json.loads(path.read_text())
     assert payload == stored, (

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -33,6 +32,7 @@ from repro.experiments.scenarios import check_invariants
 from repro.search import HuntSettings, corpus_from_result, run_hunt
 from repro.search.engine import hunt_base_config
 from repro.search.report import CORPUS_SCHEMA, CORPUS_TOLERANCE, corpus_requests
+from tests.conftest import update_golden_requested
 from tests.test_differential import SCENARIO_MATRIX, matrix_spec
 
 CORPUS_PATH = Path(__file__).parent / "golden" / "hunt_corpus.json"
@@ -55,7 +55,7 @@ CORPUS_SETTINGS = HuntSettings(
 
 @functools.lru_cache(maxsize=1)
 def _corpus() -> dict:
-    if os.environ.get("REPRO_UPDATE_GOLDEN"):
+    if update_golden_requested():
         result = run_hunt(CORPUS_SETTINGS, Session())
         payload = corpus_from_result(result)
         CORPUS_PATH.write_text(

@@ -20,6 +20,8 @@ failures reproduce; raise the budget with ``REPRO_FUZZ_EXAMPLES=25``.
 from __future__ import annotations
 
 import functools
+import gc
+import hashlib
 import json
 import os
 
@@ -208,6 +210,23 @@ def _negative_llc_line(snapshot: dict) -> dict:
     return snapshot
 
 
+def _sharer_beyond_cpus(snapshot: dict) -> dict:
+    """A directory sharer mask naming a CPU the machine does not have."""
+    snapshot["chip"]["directory"]["sharers"][0] |= (
+        1 << snapshot["config"]["num_cpus"]
+    )
+    return snapshot
+
+
+def _fine_rows_on_coarse_directory(snapshot: dict) -> dict:
+    """A fine-grained sharer row for a directory that tracks none."""
+    directory = snapshot["chip"]["directory"]
+    directory["fine_entries"].append(0)
+    directory["fine_kinds"].append(0)
+    directory["fine_sharers"].append(1)
+    return snapshot
+
+
 #: Corruptions of a stored checkpoint that must degrade to a cold run,
 #: by test id: broken shapes, and well-shaped fields that would restore
 #: and then crash the run or change its result.
@@ -224,6 +243,8 @@ CORRUPTIONS = {
     "short-vm-of-cpu": _short_vm_of_cpu,
     "unknown-resident-vm": _unknown_resident_vm,
     "negative-llc-line": _negative_llc_line,
+    "sharer-beyond-cpus": _sharer_beyond_cpus,
+    "fine-rows-on-coarse-directory": _fine_rows_on_coarse_directory,
 }
 
 
@@ -463,6 +484,96 @@ class TestSnapshotRoundTrip:
             straight, straight_digest,
             resumed, machine_digest(run.simulator),
         )
+
+
+def _assert_packed(simulator: Simulator) -> None:
+    """The machine holds line state as words, not per-line objects."""
+    chip = simulator.chip
+    caches = [cache for core in chip.cores for cache in (core.l1, core.l2)]
+    for cache in (*caches, chip.llc):
+        flags = {
+            value for cache_set in cache._sets for value in cache_set.values()
+        }
+        assert {type(value) for value in flags} <= {int}, cache.name
+        assert flags <= {0, 1, 2, 3}, cache.name
+    directory = chip.directory
+    assert len(directory), "the run left the directory empty"
+    for entry in directory._entries.values():
+        assert type(entry.sharers) is int
+        if directory.fine_grained:
+            assert {type(mask) for mask in entry.fine_sharers.values()} <= {int}
+        else:
+            assert entry.fine_sharers is None
+    # no per-entry container may creep back: walk everything the
+    # directory reaches, leaving out classes (enum keys reach theirs)
+    seen: set[int] = set()
+    pending: list = [directory]
+    while pending:
+        obj = pending.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, (set, frozenset)), obj
+        pending.extend(gc.get_referents(obj))
+
+
+#: sha256 of the file :meth:`CheckpointStore.save` writes for the last
+#: checkpoint of a 4-CPU hatric run, per directory shape.  These bytes
+#: are what ``SNAPSHOT_SCHEMA_VERSION`` 2 promises: a change to how the
+#: machine holds its state in memory must not move them.  The
+#: fine-grained shape is the only one that fills the ``fine_*`` rows.
+CHECKPOINT_SHA256 = {
+    "default": (
+        "fe2462495f7476570a9580c7ca56ce0470de1e64bcf0e918662c6b0d70a3ca48"
+    ),
+    "fine-grained": (
+        "aaf65f99e36ef79c53551911c9e4deaa92606d51fadf1f30ffa4b5d38ef13de9"
+    ),
+}
+
+
+class TestPackedState:
+    WORKLOAD = "syn:migration-daemon/seed=7"
+
+    def _run(self, engine: str, fine_grained: bool):
+        config = _config(
+            "hatric",
+            directory=CoherenceDirectoryConfig(fine_grained=fine_grained),
+        )
+        trace = resolve_trace(
+            make_workload(self.WORKLOAD), config.num_cpus, config.seed, 4000
+        )
+        snapshots: list[dict] = []
+        simulator = Simulator(config, engine=engine)
+        simulator.run(
+            trace, warmup_refs=128, checkpoint_refs=1000,
+            on_checkpoint=snapshots.append,
+        )
+        return trace, snapshots, simulator
+
+    @pytest.mark.parametrize(
+        "fine_grained", [False, True], ids=["default", "fine-grained"]
+    )
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_machine_holds_words_after_run_and_restore(
+        self, engine, fine_grained
+    ) -> None:
+        trace, snapshots, simulator = self._run(engine, fine_grained)
+        _assert_packed(simulator)
+        run = restore_run(
+            json.loads(json.dumps(snapshots[-1])), trace, engine=engine
+        )
+        _assert_packed(run.simulator)
+        run.simulator.resume(run)
+        _assert_packed(run.simulator)
+
+    @pytest.mark.parametrize("shape", sorted(CHECKPOINT_SHA256))
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_checkpoint_bytes_are_pinned(self, tmp_path, engine, shape) -> None:
+        _, snapshots, _ = self._run(engine, shape == "fine-grained")
+        path = CheckpointStore(tmp_path).save("ab" * 32, snapshots[-1])
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == CHECKPOINT_SHA256[shape]
 
 
 class TestSnapshotGuards:
